@@ -33,6 +33,17 @@ std::unordered_map<std::string, int32_t> TermCounts(std::string_view text,
   return counts;
 }
 
+/// Reports a document's statistics contribution as a MutationDelta:
+/// its distinct stems in ascending order and its length.
+void FillDelta(const std::unordered_map<std::string, int32_t>& counts,
+               int64_t length, MutationDelta* delta) {
+  delta->stems.clear();
+  delta->stems.reserve(counts.size());
+  for (const auto& [stem, tf] : counts) delta->stems.push_back(stem);
+  std::sort(delta->stems.begin(), delta->stems.end());
+  delta->length = length;
+}
+
 void AddRankStats(const ir::RankStats& from, ir::RankStats* into) {
   into->postings_touched += from.postings_touched;
   into->blocks_skipped += from.blocks_skipped;
@@ -228,7 +239,7 @@ std::shared_ptr<ir::TextIndex> LiveIndex::BuildPart(
   return index;
 }
 
-void LiveIndex::PublishLocked(std::shared_ptr<Snapshot> snap) {
+uint64_t LiveIndex::PublishLocked(std::shared_ptr<Snapshot> snap) {
   snap->parts_ = parts_;
   snap->part_tombstones_ = part_tombstones_;
   snap->tombstones_ = tombstones_;
@@ -241,10 +252,20 @@ void LiveIndex::PublishLocked(std::shared_ptr<Snapshot> snap) {
   snap->stop_ = options_.node.stop;
   std::lock_guard<std::mutex> snap_lock(snap_mu_);
   snapshot_ = std::move(snap);
+  return epoch_;
 }
 
 Result<uint64_t> LiveIndex::Insert(std::string_view url,
-                                   std::string_view text) {
+                                   std::string_view text,
+                                   MutationDelta* delta) {
+  // The stems and length depend on the text alone: computed before the
+  // writer lock so the lock covers only the rebuild and the publish.
+  if (delta != nullptr) {
+    int64_t length = 0;
+    const std::unordered_map<std::string, int32_t> counts =
+        TermCounts(text, options_.node.stem, options_.node.stop, &length);
+    FillDelta(counts, length, delta);
+  }
   std::unique_lock<std::mutex> lock(mu_);
   std::string key(url);
   auto it = url_to_id_.find(key);
@@ -286,7 +307,8 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
     active_part_ = nullptr;  // sealed: the next insert opens a new part
     active_ids_.clear();
   }
-  PublishLocked(std::make_shared<Snapshot>());
+  const uint64_t epoch = PublishLocked(std::make_shared<Snapshot>());
+  if (delta != nullptr) delta->epoch = epoch;
 
   bool wake = false;
   if (options_.auto_merge_docs > 0) {
@@ -301,12 +323,14 @@ Result<uint64_t> LiveIndex::Insert(std::string_view url,
   return id;
 }
 
-bool LiveIndex::Delete(std::string_view url) {
+bool LiveIndex::Delete(std::string_view url, MutationDelta* delta) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = url_to_id_.find(std::string(url));
-  if (it == url_to_id_.end()) return false;
+  if (it == url_to_id_.end() || !docs_[it->second].alive) {
+    if (delta != nullptr) *delta = MutationDelta{epoch_, {}, 0};
+    return false;
+  }
   const uint64_t id = it->second;
-  if (!docs_[id].alive) return false;
   docs_[id].alive = false;
 
   auto tomb = std::make_shared<std::unordered_set<uint64_t>>(*tombstones_);
@@ -332,11 +356,15 @@ bool LiveIndex::Delete(std::string_view url) {
       break;
     }
   }
-  PublishLocked(std::make_shared<Snapshot>());
+  const uint64_t epoch = PublishLocked(std::make_shared<Snapshot>());
+  if (delta != nullptr) {
+    FillDelta(counts, length, delta);
+    delta->epoch = epoch;
+  }
   return true;
 }
 
-void LiveIndex::Merge() {
+uint64_t LiveIndex::Merge() {
   // One merge at a time (foreground callers vs the background thread);
   // mutations keep flowing — mu_ is held only to claim and to swap.
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
@@ -458,8 +486,9 @@ void LiveIndex::Merge() {
     part_tombstones_ = std::move(new_counts);
     tombstones_ = std::move(tomb);
     df_minus_ = std::move(minus);
-    PublishLocked(std::make_shared<Snapshot>());
+    const uint64_t epoch = PublishLocked(std::make_shared<Snapshot>());
     merges_.fetch_add(1, std::memory_order_relaxed);
+    return epoch;
   }
 }
 

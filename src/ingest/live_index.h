@@ -94,6 +94,18 @@ struct LiveScoredDoc {
   double score;
 };
 
+/// What one Insert or Delete changed, reported by the call itself: the
+/// epoch it published and the document's contribution to the effective
+/// statistics — its distinct stems (each moves that stem's df by one)
+/// and its length (moves the collection length by that much). A
+/// cluster coordinator folds this into its global statistics instead
+/// of re-fetching every node's df table.
+struct MutationDelta {
+  uint64_t epoch = 0;
+  std::vector<std::string> stems;  ///< distinct, ascending
+  int64_t length = 0;
+};
+
 /// Point-in-time counters of a LiveIndex (Stats()).
 struct LiveIndexStats {
   uint64_t epoch = 0;
@@ -184,12 +196,18 @@ class LiveIndex {
 
   /// Inserts a document and publishes the next epoch. The url must not
   /// name a live document (kAlreadyExists); re-inserting a deleted url
-  /// is allowed and gets a fresh global id. Returns the global id.
-  Result<uint64_t> Insert(std::string_view url, std::string_view text);
+  /// is allowed and gets a fresh global id. Returns the global id;
+  /// `delta`, when given, receives the published epoch and the
+  /// document's stems and length.
+  Result<uint64_t> Insert(std::string_view url, std::string_view text,
+                          MutationDelta* delta = nullptr);
 
   /// Tombstones the live document named `url` and publishes the next
-  /// epoch. Returns false when no live document has that url.
-  bool Delete(std::string_view url);
+  /// epoch. Returns false when no live document has that url. `delta`,
+  /// when given, receives the published epoch and the removed
+  /// document's stems and length — or, when nothing was found, the
+  /// current epoch and no stems.
+  bool Delete(std::string_view url, MutationDelta* delta = nullptr);
 
   /// Packs every delta part's live documents into one frozen run and
   /// atomically swaps it in under the next epoch. Synchronous on the
@@ -200,7 +218,8 @@ class LiveIndex {
   /// against the background merge thread. Always publishes a new
   /// epoch, even when the delta tier is empty (the no-op merge is
   /// still an observable epoch for the serve layer's warm path).
-  void Merge();
+  /// Returns the epoch the swap published.
+  uint64_t Merge();
 
   /// Pins the current snapshot: a shared_ptr copy under the snapshot
   /// mutex — never the writer lock, so queries keep serving through
@@ -234,9 +253,9 @@ class LiveIndex {
   std::shared_ptr<ir::TextIndex> BuildPart(
       const std::vector<std::pair<std::string, std::string>>& docs) const;
 
-  /// Installs `snap` as the current snapshot under the next epoch.
-  /// Caller holds mu_.
-  void PublishLocked(std::shared_ptr<Snapshot> snap);
+  /// Installs `snap` as the current snapshot under the next epoch and
+  /// returns that epoch. Caller holds mu_.
+  uint64_t PublishLocked(std::shared_ptr<Snapshot> snap);
 
   void MergeLoop();
 

@@ -81,6 +81,7 @@ RemoteClusterIndex::RemoteClusterIndex(std::vector<ReplicaSet> shards,
     : shards_(std::move(shards)), options_(options) {
   assert(!shards_.empty());
   shard_docs_.assign(shards_.size(), 0);
+  shard_epochs_.assign(shards_.size(), 0);
   shard_state_.reserve(shards_.size());
   for (const ReplicaSet& set : shards_) {
     assert(!set.replicas.empty());
@@ -350,31 +351,20 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
 }
 
 Status RemoteClusterIndex::Connect() {
-  Status status = ConnectInternal();
-  if (status.ok()) {
-    connected_ = true;
-    stats_dirty_.store(false, std::memory_order_release);
+  // No mutation may land between a shard's handshake and the commit
+  // below: its delta would be overwritten by the older table.
+  std::vector<std::unique_lock<std::mutex>> write_locks;
+  write_locks.reserve(shards_.size());
+  for (const auto& state : shard_state_) {
+    write_locks.emplace_back(state->write_mu);
   }
-  return status;
-}
-
-void RemoteClusterIndex::RefreshStatsIfStale() const {
-  if (!stats_dirty_.exchange(false, std::memory_order_acq_rel)) return;
-  if (!ConnectInternal().ok()) {
-    // Handshake failed: query on the stale aggregates (the shards
-    // still answer with whatever state they have) and let the next
-    // query retry the refresh.
-    stats_dirty_.store(true, std::memory_order_release);
-  }
-}
-
-Status RemoteClusterIndex::ConnectInternal() const {
-  // Phase 1, unlocked: run the handshake against every replica and
-  // build the new aggregates locally — network I/O must not stall
-  // concurrent queries holding shared stats locks.
+  // Phase 1, without the stats lock: run the handshake against every
+  // replica and build the new aggregates locally — network I/O must
+  // not stall concurrent queries holding shared stats locks.
   decltype(global_df_) new_global_df;
   int64_t new_collection_length = 0;
   std::vector<uint64_t> new_shard_docs(shards_.size(), 0);
+  std::vector<uint64_t> new_shard_epochs(shards_.size(), 0);
   uint64_t new_total_docs = 0;
   uint64_t new_cluster_epoch = 0;
   bool new_stem = true;
@@ -387,15 +377,8 @@ Status RemoteClusterIndex::ConnectInternal() const {
       // and every replica must answer for itself.
       StatsRequest request;
       request.node_id = replicas[r].node_id;
-      const std::vector<uint8_t> frame = EncodeStatsRequest(request);
       Result<std::vector<uint8_t>> response =
-          Status::Unavailable("no attempts made");
-      for (int attempt = 0; attempt <= options_.retries; ++attempt) {
-        Attempt a = ClassifyResponse(replicas[r].transport->Call(
-            frame, Deadline::After(options_.timeout_ms)));
-        response = std::move(a.frame);
-        if (response.ok()) break;
-      }
+          CallReplica(replicas[r], EncodeStatsRequest(request));
       if (!response.ok()) return response.status();
       MessageType type;
       const uint8_t* body = nullptr;
@@ -452,6 +435,7 @@ Status RemoteClusterIndex::ConnectInternal() const {
     // identical to the in-process one whatever the shard order.
     new_collection_length += adopted.collection_length;
     new_shard_docs[i] = adopted.document_count;
+    new_shard_epochs[i] = adopted.mutation_epoch;
     new_total_docs += adopted.document_count;
     new_cluster_epoch += adopted.mutation_epoch;
     for (const auto& [term, df] : adopted.term_dfs) {
@@ -465,10 +449,12 @@ Status RemoteClusterIndex::ConnectInternal() const {
   global_df_ = std::move(new_global_df);
   collection_length_ = new_collection_length;
   shard_docs_ = std::move(new_shard_docs);
+  shard_epochs_ = std::move(new_shard_epochs);
   total_docs_ = new_total_docs;
   cluster_epoch_ = new_cluster_epoch;
   norm_stem_ = new_stem;
   norm_stop_ = new_stop;
+  connected_ = true;
   return Status::Ok();
 }
 
@@ -483,7 +469,7 @@ size_t RemoteClusterIndex::ShardForUrl(std::string_view url) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-Result<std::vector<uint8_t>> RemoteClusterIndex::MutateReplica(
+Result<std::vector<uint8_t>> RemoteClusterIndex::CallReplica(
     const Shard& replica, const std::vector<uint8_t>& frame) const {
   Result<std::vector<uint8_t>> response =
       Status::Unavailable("no attempts made");
@@ -496,116 +482,150 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::MutateReplica(
   return response;
 }
 
-Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
-                                            std::string_view text) {
-  const size_t shard = ShardForUrl(url);
-  uint64_t doc_id = 0;
-  uint64_t epoch = 0;
+template <typename Response, typename Encode, typename Identity>
+Status RemoteClusterIndex::MutateReplicas(
+    size_t shard, const char* what, const Encode& encode, MessageType want,
+    Result<Response> (*decode)(const uint8_t*, size_t),
+    const Identity& identity, std::optional<Response>* first) const {
   const std::vector<Shard>& replicas = shards_[shard].replicas;
   for (size_t r = 0; r < replicas.size(); ++r) {
-    InsertRequest request;
-    request.node_id = replicas[r].node_id;
-    request.url = std::string(url);
-    request.text = std::string(text);
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
-                         EncodeInsertRequest(request));
+                         encode(replicas[r].node_id));
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         MutateReplica(replicas[r], frame));
+                         CallReplica(replicas[r], frame));
     MessageType type;
     const uint8_t* body = nullptr;
     size_t body_len = 0;
     DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-    if (type != MessageType::kInsertResponse) {
-      return Status::Corruption("insert: unexpected frame type");
+    if (type != want) {
+      return Status::Corruption(
+          StrFormat("%s: unexpected response frame type", what));
     }
-    DLS_ASSIGN_OR_RETURN(const InsertResponse response,
-                         DecodeInsertResponse(body, body_len));
-    if (r == 0) {
-      doc_id = response.doc_id;
-      epoch = response.epoch;
-    } else if (response.doc_id != doc_id || response.epoch != epoch) {
+    DLS_ASSIGN_OR_RETURN(Response response, decode(body, body_len));
+    if (!first->has_value()) {
+      *first = std::move(response);
+      continue;
+    }
+    const auto [want_key, want_epoch] = identity(**first);
+    const auto [got_key, got_epoch] = identity(response);
+    if (got_key != want_key || got_epoch != want_epoch) {
       return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on insert (id=%llu epoch=%llu vs "
-          "id=%llu epoch=%llu); replicas no longer serve identical content",
-          shard, r, static_cast<unsigned long long>(response.doc_id),
-          static_cast<unsigned long long>(response.epoch),
-          static_cast<unsigned long long>(doc_id),
-          static_cast<unsigned long long>(epoch)));
+          "shard %zu replica %zu diverged on %s (%llu, epoch %llu vs %llu, "
+          "epoch %llu); replicas no longer serve identical content",
+          shard, r, what, static_cast<unsigned long long>(got_key),
+          static_cast<unsigned long long>(got_epoch),
+          static_cast<unsigned long long>(want_key),
+          static_cast<unsigned long long>(want_epoch)));
     }
   }
-  stats_dirty_.store(true, std::memory_order_release);
-  return doc_id;
+  return Status::Ok();
+}
+
+Status RemoteClusterIndex::ApplyDelta(size_t shard, uint64_t epoch, int docs,
+                                      int64_t length,
+                                      const std::vector<std::string>& stems) {
+  std::unique_lock<std::shared_mutex> lock(stats_mu_);
+  if (docs < 0) {
+    // Check the whole delete before changing anything: a stem the
+    // vocabulary lacks (its df would go below 0), or more documents or
+    // length than the shard holds, means node and coordinator disagree.
+    if (shard_docs_[shard] == 0 || length > collection_length_) {
+      return Status::Corruption(StrFormat(
+          "delete delta on shard %zu removes more than the statistics hold",
+          shard));
+    }
+    for (const std::string& stem : stems) {
+      if (global_df_.find(stem) == global_df_.end()) {
+        return Status::Corruption(StrFormat(
+            "delete delta on shard %zu names stem '%s' outside the global "
+            "vocabulary",
+            shard, stem.c_str()));
+      }
+    }
+  }
+  // Exactly the table a fresh handshake would build: a new stem enters
+  // at df 1, a stem whose df reaches 0 leaves.
+  for (const std::string& stem : stems) {
+    if (docs > 0) {
+      ++global_df_[stem];
+    } else if (docs < 0) {
+      auto it = global_df_.find(stem);
+      if (--it->second == 0) global_df_.erase(it);
+    }
+  }
+  collection_length_ += docs * length;
+  shard_docs_[shard] += static_cast<uint64_t>(static_cast<int64_t>(docs));
+  total_docs_ += static_cast<uint64_t>(static_cast<int64_t>(docs));
+  cluster_epoch_ += epoch - shard_epochs_[shard];
+  shard_epochs_[shard] = epoch;
+  return Status::Ok();
+}
+
+Result<uint64_t> RemoteClusterIndex::Insert(std::string_view url,
+                                            std::string_view text) {
+  const size_t shard = ShardForUrl(url);
+  std::lock_guard<std::mutex> write_lock(shard_state_[shard]->write_mu);
+  std::optional<InsertResponse> first;
+  const Status status = MutateReplicas(
+      shard, "insert",
+      [&](uint32_t node_id) {
+        return EncodeInsertRequest(
+            InsertRequest{node_id, std::string(url), std::string(text)});
+      },
+      MessageType::kInsertResponse, &DecodeInsertResponse,
+      [](const InsertResponse& r) { return std::pair(r.doc_id, r.epoch); },
+      &first);
+  if (!first.has_value()) return status;
+  // The first acknowledging replica holds the document whether or not
+  // a later one failed, so the statistics follow it either way.
+  const Status applied =
+      ApplyDelta(shard, first->epoch, +1, first->length, first->stems);
+  DLS_RETURN_IF_ERROR(status);
+  DLS_RETURN_IF_ERROR(applied);
+  return first->doc_id;
 }
 
 Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
   const size_t shard = ShardForUrl(url);
-  bool found = false;
-  uint64_t epoch = 0;
-  const std::vector<Shard>& replicas = shards_[shard].replicas;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    DeleteRequest request;
-    request.node_id = replicas[r].node_id;
-    request.url = std::string(url);
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
-                         EncodeDeleteRequest(request));
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         MutateReplica(replicas[r], frame));
-    MessageType type;
-    const uint8_t* body = nullptr;
-    size_t body_len = 0;
-    DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-    if (type != MessageType::kDeleteResponse) {
-      return Status::Corruption("delete: unexpected frame type");
-    }
-    DLS_ASSIGN_OR_RETURN(const DeleteResponse response,
-                         DecodeDeleteResponse(body, body_len));
-    if (r == 0) {
-      found = response.found;
-      epoch = response.epoch;
-    } else if (response.found != found || response.epoch != epoch) {
-      return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on delete (found=%d epoch=%llu vs "
-          "found=%d epoch=%llu); replicas no longer serve identical content",
-          shard, r, response.found ? 1 : 0,
-          static_cast<unsigned long long>(response.epoch), found ? 1 : 0,
-          static_cast<unsigned long long>(epoch)));
-    }
-  }
-  if (found) stats_dirty_.store(true, std::memory_order_release);
-  return found;
+  std::lock_guard<std::mutex> write_lock(shard_state_[shard]->write_mu);
+  std::optional<DeleteResponse> first;
+  const Status status = MutateReplicas(
+      shard, "delete",
+      [&](uint32_t node_id) {
+        return EncodeDeleteRequest(DeleteRequest{node_id, std::string(url)});
+      },
+      MessageType::kDeleteResponse, &DecodeDeleteResponse,
+      [](const DeleteResponse& r) {
+        return std::pair(uint64_t{r.found}, r.epoch);
+      },
+      &first);
+  if (!first.has_value()) return status;
+  const Status applied = ApplyDelta(shard, first->epoch, first->found ? -1 : 0,
+                                    first->length, first->stems);
+  DLS_RETURN_IF_ERROR(status);
+  DLS_RETURN_IF_ERROR(applied);
+  return first->found;
 }
 
 Status RemoteClusterIndex::MergeAll() {
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::vector<Shard>& replicas = shards_[i].replicas;
-    uint64_t epoch = 0;
-    for (size_t r = 0; r < replicas.size(); ++r) {
-      MergeRequest request;
-      request.node_id = replicas[r].node_id;
-      const std::vector<uint8_t> frame = EncodeMergeRequest(request);
-      DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                           MutateReplica(replicas[r], frame));
-      MessageType type;
-      const uint8_t* body = nullptr;
-      size_t body_len = 0;
-      DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-      if (type != MessageType::kMergeResponse) {
-        return Status::Corruption("merge: unexpected frame type");
-      }
-      DLS_ASSIGN_OR_RETURN(const MergeResponse response,
-                           DecodeMergeResponse(body, body_len));
-      if (r == 0) {
-        epoch = response.epoch;
-      } else if (response.epoch != epoch) {
-        return Status::Internal(StrFormat(
-            "shard %zu replica %zu diverged on merge (epoch=%llu vs %llu); "
-            "replicas no longer serve identical content",
-            i, r, static_cast<unsigned long long>(response.epoch),
-            static_cast<unsigned long long>(epoch)));
-      }
+    std::lock_guard<std::mutex> write_lock(shard_state_[i]->write_mu);
+    std::optional<MergeResponse> first;
+    const Status status = MutateReplicas(
+        i, "merge",
+        [](uint32_t node_id) -> Result<std::vector<uint8_t>> {
+          return EncodeMergeRequest(MergeRequest{node_id});
+        },
+        MessageType::kMergeResponse, &DecodeMergeResponse,
+        [](const MergeResponse& r) { return std::pair(uint64_t{0}, r.epoch); },
+        &first);
+    // A merge leaves the effective statistics unchanged by construction:
+    // only the shard's epoch moves.
+    if (first.has_value()) {
+      DLS_RETURN_IF_ERROR(ApplyDelta(i, first->epoch, 0, 0, {}));
     }
+    DLS_RETURN_IF_ERROR(status);
   }
-  stats_dirty_.store(true, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -711,6 +731,7 @@ void RemoteClusterIndex::AggregateStats(
     const std::vector<ir::ShardQuery>& queries,
     const std::vector<double>& idf_mass_totals,
     const std::vector<ShardOutcome>& outcomes,
+    const std::vector<uint64_t>& shard_docs, uint64_t total_docs,
     ir::ClusterQueryStats* stats,
     std::vector<ir::ClusterQueryStats>* per_query) const {
   if (per_query != nullptr) {
@@ -727,7 +748,7 @@ void RemoteClusterIndex::AggregateStats(
     stats->failovers += o.failovers;
     if (!o.alive) continue;
     if (first_alive == nullptr) first_alive = &o;
-    alive_docs += shard_docs_[i];
+    alive_docs += shard_docs[i];
     double shard_elapsed = 0;
     for (size_t q = 0; q < o.results.size(); ++q) {
       const ir::ShardResult& r = o.results[q];
@@ -763,8 +784,8 @@ void RemoteClusterIndex::AggregateStats(
   }
 
   const double alive_share =
-      total_docs_ > 0
-          ? static_cast<double>(alive_docs) / static_cast<double>(total_docs_)
+      total_docs > 0
+          ? static_cast<double>(alive_docs) / static_cast<double>(total_docs)
           : 1.0;
   double idf_total = 0, idf_read = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -794,13 +815,20 @@ std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
     size_t max_fragments, ir::ClusterQueryStats* stats,
     const ir::RankOptions& options) const {
   assert(connected_ && "call Connect() before Query()");
-  RefreshStatsIfStale();
-  // Shared for the whole query: resolution and stats aggregation see
-  // one handshake, never a mid-refresh mix.
-  std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
+  // Resolution and the document counts come from one view of the
+  // statistics; the shared lock is released before the fan-out, so an
+  // acknowledged mutation's delta never waits behind in-flight queries.
   double idf_mass_total = 0;
-  ir::ShardQuery base =
-      ResolveQuery(query_words, n, max_fragments, options, &idf_mass_total);
+  ir::ShardQuery base;
+  std::vector<uint64_t> shard_docs;
+  uint64_t total_docs = 0;
+  {
+    std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
+    base =
+        ResolveQuery(query_words, n, max_fragments, options, &idf_mass_total);
+    shard_docs = shard_docs_;
+    total_docs = total_docs_;
+  }
 
   std::vector<ShardOutcome> outcomes;
   if (options.prune && n > 0 &&
@@ -830,8 +858,8 @@ std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
   }
 
   ir::ClusterQueryStats local_stats;
-  AggregateStats({base}, {idf_mass_total}, outcomes, &local_stats,
-                 /*per_query=*/nullptr);
+  AggregateStats({base}, {idf_mass_total}, outcomes, shard_docs, total_docs,
+                 &local_stats, /*per_query=*/nullptr);
 
   // Lost shards contribute an empty ShardResult — the merge just never
   // draws from them.
@@ -851,24 +879,31 @@ std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
     const ir::RankOptions& options,
     std::vector<ir::ClusterQueryStats>* per_query_stats) const {
   assert(connected_ && "call Connect() before QueryBatch()");
-  RefreshStatsIfStale();
-  std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
   std::vector<ir::ShardQuery> requests;
   std::vector<double> idf_mass_totals;
+  std::vector<uint64_t> shard_docs;
+  uint64_t total_docs = 0;
   requests.reserve(queries.size());
   idf_mass_totals.reserve(queries.size());
-  for (const std::vector<std::string>& words : queries) {
-    double idf_mass_total = 0;
-    requests.push_back(
-        ResolveQuery(words, n, max_fragments, options, &idf_mass_total));
-    idf_mass_totals.push_back(idf_mass_total);
+  {
+    // As in Query(): one view for the whole batch, released before the
+    // fan-out.
+    std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
+    for (const std::vector<std::string>& words : queries) {
+      double idf_mass_total = 0;
+      requests.push_back(
+          ResolveQuery(words, n, max_fragments, options, &idf_mass_total));
+      idf_mass_totals.push_back(idf_mass_total);
+    }
+    shard_docs = shard_docs_;
+    total_docs = total_docs_;
   }
 
   std::vector<ShardOutcome> outcomes = FanOut(requests);
 
   ir::ClusterQueryStats local_stats;
-  AggregateStats(requests, idf_mass_totals, outcomes, &local_stats,
-                 per_query_stats);
+  AggregateStats(requests, idf_mass_totals, outcomes, shard_docs, total_docs,
+                 &local_stats, per_query_stats);
 
   std::vector<std::vector<ir::ClusterScoredDoc>> merged;
   merged.reserve(queries.size());

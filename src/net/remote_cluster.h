@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -17,6 +18,7 @@
 #include "ir/cluster.h"
 #include "ir/index.h"
 #include "net/transport.h"
+#include "net/wire.h"
 
 namespace dls {
 class ThreadPool;
@@ -64,7 +66,8 @@ namespace dls::net {
 /// proceeds over the surviving nodes and
 /// ClusterQueryStats.predicted_quality is scaled by the surviving
 /// document share — graceful degradation instead of a failed query.
-/// Shard document counts come from the Connect() handshake.
+/// Shard document counts come from the Connect() handshake and are
+/// kept current by the statistics deltas of routed mutations.
 ///
 /// ClusterQueryStats.messages / bytes_shipped report the *actual
 /// encoded frames*: one message and its byte size per request frame
@@ -75,7 +78,8 @@ namespace dls::net {
 ///
 /// Thread-safety: after Connect(), concurrent Query()/QueryBatch()
 /// calls are safe (transports serialise internally; result slots are
-/// per-shard and per-call; health state is internally locked).
+/// per-shard and per-call; health state is internally locked), also
+/// alongside Insert()/Delete()/MergeAll().
 class RemoteClusterIndex {
  public:
   /// One remote replica: which transport to dial and which node id it
@@ -143,7 +147,11 @@ class RemoteClusterIndex {
   /// Stats handshake: fetches every replica's local statistics,
   /// aggregates the global df table, collection length and per-shard
   /// document counts, and holds each shard's replicas to identical
-  /// document counts / collection lengths / epochs. Also adopts the
+  /// document counts / collection lengths / epochs. The only sender
+  /// of StatsRequest frames: afterwards the statistics follow routed
+  /// mutations through the deltas in their acknowledgements, and a
+  /// re-Connect() re-synchronises them from scratch (it waits for
+  /// in-flight mutations and holds new ones off). Also adopts the
   /// shards' advertised normalisation configuration (stem/stop) for
   /// query resolution, and fails with kInvalidArgument if the shards
   /// disagree among themselves — a mixed-pipeline cluster would
@@ -172,12 +180,16 @@ class RemoteClusterIndex {
     std::shared_lock<std::shared_mutex> lock(stats_mu_);
     return collection_length_;
   }
-  /// Cluster-wide mutation epoch: the sum of every shard's
-  /// mutation_epoch() at handshake time — the remote mirror of
+  /// Cluster-wide mutation epoch: the sum over shards of the latest
+  /// epoch the coordinator observed — at handshake time, then in each
+  /// routed mutation's acknowledgement. The remote mirror of
   /// ClusterIndex::mutation_epoch(), and the serving layer's cache
-  /// invalidation key. A reindexed or mutated shard is observed by
-  /// re-running Connect() (or automatically by the first query after
-  /// a routed mutation staled the statistics).
+  /// invalidation key: it moves in the same unique-lock section as the
+  /// statistics a mutation changed. A node's background merges do not
+  /// bump it until the next routed mutation or Connect() observes
+  /// them, which is exact because a merge changes no ranking. A shard
+  /// reindexed behind the coordinator's back is observed by re-running
+  /// Connect().
   uint64_t cluster_epoch() const {
     std::shared_lock<std::shared_mutex> lock(stats_mu_);
     return cluster_epoch_;
@@ -208,10 +220,21 @@ class RemoteClusterIndex {
   // copies, which is what keeps failover and hedging exactness-safe.
   // Mutations are never hedged or failed over (they are not idempotent;
   // a replica that cannot be reached leaves the set diverged and the
-  // call reports it). Any successful mutation marks the cached global
-  // statistics stale; the next Query()/QueryBatch() re-runs the stats
-  // handshake before resolving, so a quiesced query is bit-identical to
-  // a from-scratch rebuild at the cluster's current epoch.
+  // call reports it). Mutations of one shard are serialised, so its
+  // replicas apply them in one order.
+  //
+  // Every Insert/Delete acknowledgement carries the mutation's
+  // statistics delta (the published epoch, the document's distinct
+  // stems and its length). Before the call returns, the first
+  // acknowledging replica's delta is applied to the global df table,
+  // collection length, document counts and epoch under the unique
+  // stats lock — also when a later replica then fails, since the first
+  // one holds the change. So a query issued after the acknowledgement
+  // is bit-identical to a from-scratch rebuild at the cluster's
+  // current epoch, with no stats exchange on the query path. A delete
+  // delta that the global statistics cannot absorb (a stem missing
+  // from the vocabulary, more documents or length than the shard
+  // holds) is refused as kCorruption with no part of it applied.
 
   /// The shard owning `url` under the mutation routing hash.
   size_t ShardForUrl(std::string_view url) const;
@@ -226,13 +249,9 @@ class RemoteClusterIndex {
 
   /// Asks every replica of every shard to pack its delta tier into a
   /// frozen run. Queries keep serving off pinned snapshots throughout.
+  /// Only the shard epochs move: a merge leaves the effective
+  /// statistics unchanged by construction.
   Status MergeAll();
-
-  /// True when a mutation has staled the cached global statistics and
-  /// the next query will re-run the stats handshake first.
-  bool stats_stale() const {
-    return stats_dirty_.load(std::memory_order_acquire);
-  }
 
   /// Distributed top-N with per-node fragment cut-off; mirrors
   /// ClusterIndex::Query (same arguments, same semantics, same
@@ -289,6 +308,10 @@ class RemoteClusterIndex {
 
   /// Mutable routing state of one shard.
   struct ShardState {
+    /// Serialises the mutations routed to this shard (and Connect()),
+    /// so replicas apply them in one order and their deltas reach the
+    /// statistics in the shard's epoch order.
+    std::mutex write_mu;
     mutable std::mutex mu;
     std::vector<ReplicaHealth> health;
     /// Rolling window of end-to-end successful exchange latencies (the
@@ -302,26 +325,38 @@ class RemoteClusterIndex {
   /// Completion channel between a caller and its async attempts.
   struct HedgedCall;
 
-  /// The stats handshake body; writes the (mutable) aggregate fields
-  /// under a unique stats_mu_ lock, so it is safe against concurrent
-  /// queries reading them under shared locks.
-  Status ConnectInternal() const;
-
-  /// Re-runs the handshake iff a mutation staled the aggregates. A
-  /// failed refresh re-arms the dirty flag and the query proceeds on
-  /// the stale statistics (degraded, still exact *per shard state at
-  /// resolve time* — the next query retries).
-  void RefreshStatsIfStale() const;
-
   /// One non-hedged, non-failover exchange with a specific replica
-  /// (mutations must hit every replica, not any one of them); retries
-  /// the same replica Options::retries times like Connect() does.
-  Result<std::vector<uint8_t>> MutateReplica(
+  /// (the handshake and mutations must hit every replica, not any one
+  /// of them); retries the same replica Options::retries times.
+  Result<std::vector<uint8_t>> CallReplica(
       const Shard& replica, const std::vector<uint8_t>& frame) const;
+
+  /// Sends one mutation (`what`, for messages) to every replica of
+  /// `shard` in order, decodes each answer as a `want` frame, and holds
+  /// its identity(answer) — (id or found, epoch) — to the first
+  /// answer's. Stops at the first failure and returns it; `first` keeps
+  /// the first acknowledgement either way. Caller holds the shard's
+  /// write_mu.
+  template <typename Response, typename Encode, typename Identity>
+  Status MutateReplicas(size_t shard, const char* what, const Encode& encode,
+                        MessageType want,
+                        Result<Response> (*decode)(const uint8_t*, size_t),
+                        const Identity& identity,
+                        std::optional<Response>* first) const;
+
+  /// Folds one acknowledged mutation into the global statistics under
+  /// the unique stats lock: `docs` is +1 (insert), -1 (delete) or 0
+  /// (merge, or a delete that found nothing); the document's distinct
+  /// `stems` move their df by `docs`, and `length` moves the collection
+  /// length likewise. A delete the statistics cannot absorb is refused
+  /// as kCorruption before anything changes. `epoch` becomes the
+  /// shard's observed epoch.
+  Status ApplyDelta(size_t shard, uint64_t epoch, int docs, int64_t length,
+                    const std::vector<std::string>& stems);
 
   /// Builds the resolved base request: normalised, de-duplicated stems
   /// with global dfs. Returns the query's total idf mass through
-  /// `idf_mass_total`.
+  /// `idf_mass_total`. Caller holds stats_mu_ (shared).
   ir::ShardQuery ResolveQuery(const std::vector<std::string>& query_words,
                               size_t n, size_t max_fragments,
                               const ir::RankOptions& options,
@@ -365,32 +400,36 @@ class RemoteClusterIndex {
   /// Folds per-shard outcomes into the E4 stats struct; shared by
   /// Query and QueryBatch. `per_query`, when non-null, gets one entry
   /// per query with that rider's own work/latency/quality attribution.
+  /// `shard_docs`/`total_docs` are the document counts copied at
+  /// resolution time.
   void AggregateStats(const std::vector<ir::ShardQuery>& queries,
                       const std::vector<double>& idf_mass_totals,
                       const std::vector<ShardOutcome>& outcomes,
-                      ir::ClusterQueryStats* stats,
+                      const std::vector<uint64_t>& shard_docs,
+                      uint64_t total_docs, ir::ClusterQueryStats* stats,
                       std::vector<ir::ClusterQueryStats>* per_query) const;
 
   std::vector<ReplicaSet> shards_;
   Options options_;
-  /// Guards the handshake aggregates below: queries read them under a
-  /// shared lock, the (re-)handshake rewrites them under a unique one.
-  /// Mutations themselves never take it — they only flip stats_dirty_.
+  /// Guards the global statistics below: queries read them under a
+  /// shared lock held only while resolving; Connect() and each
+  /// acknowledged mutation's ApplyDelta() rewrite them under a unique
+  /// one.
   mutable std::shared_mutex stats_mu_;
-  mutable std::unordered_map<std::string, int32_t, ir::TransparentStringHash,
-                             std::equal_to<>>
+  std::unordered_map<std::string, int32_t, ir::TransparentStringHash,
+                     std::equal_to<>>
       global_df_;
-  mutable int64_t collection_length_ = 0;
-  mutable std::vector<uint64_t> shard_docs_;
-  mutable uint64_t total_docs_ = 0;
-  mutable uint64_t cluster_epoch_ = 0;
+  int64_t collection_length_ = 0;
+  std::vector<uint64_t> shard_docs_;
+  uint64_t total_docs_ = 0;
+  /// Latest epoch observed per shard; cluster_epoch_ is their sum.
+  std::vector<uint64_t> shard_epochs_;
+  uint64_t cluster_epoch_ = 0;
   /// Normalisation pipeline the shards advertised in the handshake;
   /// ResolveQuery must match it or recall silently breaks.
-  mutable bool norm_stem_ = true;
-  mutable bool norm_stop_ = true;
+  bool norm_stem_ = true;
+  bool norm_stop_ = true;
   bool connected_ = false;
-  /// Set by any successful mutation; cleared by the re-handshake.
-  mutable std::atomic<bool> stats_dirty_{false};
   ThreadPool* executor_ = nullptr;
   std::unique_ptr<ThreadPool> owned_pool_;
 

@@ -162,13 +162,21 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
             StrFormat("node %u is frozen; mutations need a live node",
                       req.node_id)));
       }
-      Result<uint64_t> id = live->Insert(req.url, req.text);
+      // The epoch and statistics delta come from the Insert call
+      // itself: re-reading live->epoch() afterwards could observe a
+      // concurrent mutation's or a background merge's epoch instead.
+      ingest::MutationDelta delta;
+      Result<uint64_t> id = live->Insert(req.url, req.text, &delta);
       if (!id.ok()) return EncodeError(id.status());
       InsertResponse response;
       response.node_id = req.node_id;
       response.doc_id = id.value();
-      response.epoch = live->epoch();
-      return EncodeInsertResponse(response);
+      response.epoch = delta.epoch;
+      response.length = delta.length;
+      response.stems = std::move(delta.stems);
+      Result<std::vector<uint8_t>> encoded = EncodeInsertResponse(response);
+      if (!encoded.ok()) return EncodeError(encoded.status());
+      return encoded;
     }
     case MessageType::kDeleteRequest: {
       Result<DeleteRequest> request = DecodeDeleteRequest(body, body_len);
@@ -184,11 +192,16 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
             StrFormat("node %u is frozen; mutations need a live node",
                       req.node_id)));
       }
+      ingest::MutationDelta delta;
       DeleteResponse response;
       response.node_id = req.node_id;
-      response.found = live->Delete(req.url);
-      response.epoch = live->epoch();
-      return EncodeDeleteResponse(response);
+      response.found = live->Delete(req.url, &delta);
+      response.epoch = delta.epoch;
+      response.length = delta.length;
+      response.stems = std::move(delta.stems);
+      Result<std::vector<uint8_t>> encoded = EncodeDeleteResponse(response);
+      if (!encoded.ok()) return EncodeError(encoded.status());
+      return encoded;
     }
     case MessageType::kMergeRequest: {
       Result<MergeRequest> request = DecodeMergeRequest(body, body_len);
@@ -204,10 +217,9 @@ Result<std::vector<uint8_t>> ShardServer::HandleFrame(
             StrFormat("node %u is frozen; mutations need a live node",
                       req.node_id)));
       }
-      live->Merge();
       MergeResponse response;
       response.node_id = req.node_id;
-      response.epoch = live->epoch();
+      response.epoch = live->Merge();
       response.merges = live->merges();
       return EncodeMergeResponse(response);
     }

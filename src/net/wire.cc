@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/strings.h"
 #include "ir/codec.h"
@@ -160,6 +161,14 @@ void WriteShardResult(const ir::ShardResult& r, FrameWriter* w) {
   w->BitVector(r.stem_evaluated);
 }
 
+/// A mutation's statistics delta: length, then the stem list.
+void WriteStatsDelta(int64_t length, const std::vector<std::string>& stems,
+                     FrameWriter* w) {
+  w->Varint64(static_cast<uint64_t>(length));
+  w->Varint32(static_cast<uint32_t>(stems.size()));
+  for (const std::string& stem : stems) w->String(stem);
+}
+
 // ---- Decoding ------------------------------------------------------
 
 /// Bounds-checked cursor over a body span. Every accessor checks the
@@ -262,6 +271,34 @@ class BodyReader {
 
 Status Truncated(const char* what) {
   return Status::Corruption(std::string("wire: malformed ") + what);
+}
+
+/// Reads a statistics delta and holds it to the invariants every
+/// honest node keeps: a non-negative length, non-empty stems in
+/// strictly ascending order (so none repeats and counts twice), and
+/// at least one token per distinct stem. Each stem costs at least two
+/// bytes (length prefix + one byte), which bounds the count before
+/// any allocation.
+bool ReadStatsDelta(BodyReader* r, int64_t* length,
+                    std::vector<std::string>* stems) {
+  const uint64_t raw_length = r->Varint64();
+  const uint32_t count = r->Count(/*min_bytes_each=*/2);
+  if (r->failed() ||
+      raw_length > static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) ||
+      raw_length < count) {
+    return false;
+  }
+  *length = static_cast<int64_t>(raw_length);
+  stems->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string stem = r->String();
+    if (r->failed() || stem.empty() ||
+        (!stems->empty() && !(stems->back() < stem))) {
+      return false;
+    }
+    stems->push_back(std::move(stem));
+  }
+  return true;
 }
 
 bool ReadShardQuery(BodyReader* r, ir::ShardQuery* q) {
@@ -483,12 +520,14 @@ Result<std::vector<uint8_t>> EncodeInsertRequest(const InsertRequest& request) {
   return w.Finish();
 }
 
-std::vector<uint8_t> EncodeInsertResponse(const InsertResponse& response) {
+Result<std::vector<uint8_t>> EncodeInsertResponse(
+    const InsertResponse& response) {
   FrameWriter w(MessageType::kInsertResponse);
   w.Varint32(response.node_id);
   w.Varint64(response.doc_id);
   w.Varint64(response.epoch);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  WriteStatsDelta(response.length, response.stems, &w);
+  return w.Finish();
 }
 
 Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request) {
@@ -498,12 +537,14 @@ Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request) {
   return w.Finish();
 }
 
-std::vector<uint8_t> EncodeDeleteResponse(const DeleteResponse& response) {
+Result<std::vector<uint8_t>> EncodeDeleteResponse(
+    const DeleteResponse& response) {
   FrameWriter w(MessageType::kDeleteResponse);
   w.Varint32(response.node_id);
   w.U8(response.found ? 1 : 0);
   w.Varint64(response.epoch);
-  return std::move(w.Finish()).value();  // flat scalars: always fits
+  WriteStatsDelta(response.length, response.stems, &w);
+  return w.Finish();
 }
 
 std::vector<uint8_t> EncodeMergeRequest(const MergeRequest& request) {
@@ -785,7 +826,10 @@ Result<InsertResponse> DecodeInsertResponse(const uint8_t* body, size_t len) {
   response.node_id = r.Varint32();
   response.doc_id = r.Varint64();
   response.epoch = r.Varint64();
-  if (r.failed() || r.remaining() != 0) return Truncated("InsertResponse");
+  if (!ReadStatsDelta(&r, &response.length, &response.stems) ||
+      r.remaining() != 0) {
+    return Truncated("InsertResponse");
+  }
   return response;
 }
 
@@ -804,7 +848,9 @@ Result<DeleteResponse> DecodeDeleteResponse(const uint8_t* body, size_t len) {
   response.node_id = r.Varint32();
   const uint8_t found = r.U8();
   response.epoch = r.Varint64();
-  if (r.failed() || found > 1 || r.remaining() != 0) {
+  if (!ReadStatsDelta(&r, &response.length, &response.stems) || found > 1 ||
+      r.remaining() != 0 ||
+      (found == 0 && (response.length != 0 || !response.stems.empty()))) {
     return Truncated("DeleteResponse");
   }
   response.found = found != 0;

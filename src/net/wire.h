@@ -61,11 +61,15 @@ namespace dls::net {
 ///   10 InsertRequest  live ingestion (src/ingest): adds a document
 ///                     (url, text) to the LiveIndex behind a *live*
 ///                     node. Frozen nodes answer kUnsupported.
-///   11 InsertResponse the assigned global document id and the epoch
-///                     the mutation published.
+///   11 InsertResponse the assigned global document id, the epoch
+///                     the mutation published, and its statistics
+///                     delta: the document's length and its distinct
+///                     stems (strictly ascending).
 ///   12 DeleteRequest  tombstones the live document named `url`.
-///   13 DeleteResponse whether a live document was found, and the new
-///                     epoch (unchanged when not found).
+///   13 DeleteResponse whether a live document was found, the new
+///                     epoch (unchanged when not found), and the
+///                     removed document's statistics delta (length 0
+///                     and no stems when not found).
 ///   14 MergeRequest   asks a live node to pack its delta tier into a
 ///                     frozen run (synchronous; queries keep serving
 ///                     off pinned snapshots throughout).
@@ -211,10 +215,17 @@ struct InsertRequest {
   std::string text;
 };
 
+/// The statistics delta of a mutation response (frames 11 and 13):
+/// the document's length and its distinct stems. Required fields — a
+/// frame without them fails to decode (kCorruption), and so do stems
+/// that are empty, repeated or out of order, or a length smaller than
+/// the stem count.
 struct InsertResponse {
   uint32_t node_id = 0;
   uint64_t doc_id = 0;  ///< assigned global id (insertion order)
   uint64_t epoch = 0;   ///< the epoch this insert published
+  int64_t length = 0;   ///< the document's length (its Σ tf)
+  std::vector<std::string> stems;  ///< distinct, strictly ascending
 };
 
 struct DeleteRequest {
@@ -226,6 +237,8 @@ struct DeleteResponse {
   uint32_t node_id = 0;
   bool found = false;  ///< a live document had the url and was hidden
   uint64_t epoch = 0;  ///< current epoch (bumped iff found)
+  int64_t length = 0;  ///< the removed document's length (0 if !found)
+  std::vector<std::string> stems;  ///< its distinct stems (none if !found)
 };
 
 struct MergeRequest {
@@ -318,12 +331,15 @@ Result<std::vector<uint8_t>> EncodeSearchResponse(
 std::vector<uint8_t> EncodeServeStatsRequest(const ServeStatsRequest& request);
 std::vector<uint8_t> EncodeServeStatsResponse(
     const ServeStatsResponse& response);  ///< bounded: always fits
-/// Mutation frames: the requests carry caller-sized strings and are
-/// fallible like the query frames; the responses are flat scalars.
+/// Mutation frames: the requests and the Insert/Delete responses carry
+/// caller-sized strings (the text, the document's stems) and are
+/// fallible like the query frames; the Merge frames are flat scalars.
 Result<std::vector<uint8_t>> EncodeInsertRequest(const InsertRequest& request);
-std::vector<uint8_t> EncodeInsertResponse(const InsertResponse& response);
+Result<std::vector<uint8_t>> EncodeInsertResponse(
+    const InsertResponse& response);
 Result<std::vector<uint8_t>> EncodeDeleteRequest(const DeleteRequest& request);
-std::vector<uint8_t> EncodeDeleteResponse(const DeleteResponse& response);
+Result<std::vector<uint8_t>> EncodeDeleteResponse(
+    const DeleteResponse& response);
 std::vector<uint8_t> EncodeMergeRequest(const MergeRequest& request);
 std::vector<uint8_t> EncodeMergeResponse(const MergeResponse& response);
 

@@ -93,9 +93,10 @@ class LocalBackend final : public Backend {
 
 /// Adapter over the remote cluster: QueryBatch ships the whole batch
 /// in one frame per shard, which is exactly the amortisation the
-/// frontend's dynamic batcher exists to exploit. The epoch is the one
-/// aggregated at Connect() time — observing a reindexed shard takes a
-/// re-Connect, which is the remote deployment's epoch-bump event.
+/// frontend's dynamic batcher exists to exploit. The epoch is the
+/// coordinator's cluster_epoch(): aggregated at Connect() time and
+/// moved by every mutation routed through the coordinator; observing
+/// a shard reindexed behind its back takes a re-Connect.
 class RemoteBackend final : public Backend {
  public:
   /// Non-owning; `cluster` must outlive the backend and be connected.

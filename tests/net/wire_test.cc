@@ -512,6 +512,8 @@ TEST(WireTest, RandomBodiesNeverCrashDecoders) {
     (void)DecodeSearchResponse(body.data(), body.size());
     (void)DecodeServeStatsRequest(body.data(), body.size());
     (void)DecodeServeStatsResponse(body.data(), body.size());
+    (void)DecodeInsertResponse(body.data(), body.size());
+    (void)DecodeDeleteResponse(body.data(), body.size());
     (void)DecodeError(body.data(), body.size());
   }
 }
