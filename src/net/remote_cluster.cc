@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <numeric>
 #include <queue>
 #include <thread>
 #include <utility>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "net/wire.h"
 
@@ -17,14 +19,18 @@ namespace dls::net {
 
 namespace {
 
+using SteadyClock = std::chrono::steady_clock;
+
 /// One attempt's classified outcome. `frame` is ok iff a well-formed
 /// non-Error frame arrived; `bytes` is the size of whatever response
 /// frame was received (0 when the transport itself failed), so wire
 /// accounting charges error frames and corrupt frames like the real
-/// traffic they are.
+/// traffic they are. `refused` marks a peer Error frame: the node
+/// answered, so it did not lose the request.
 struct Attempt {
   Result<std::vector<uint8_t>> frame;
   size_t bytes = 0;
+  bool refused = false;
 };
 
 /// Collapses a raw transport result into pass/fail: a transport error,
@@ -40,25 +46,104 @@ Attempt ClassifyResponse(Result<std::vector<uint8_t>> raw) {
   size_t body_len = 0;
   Status decoded = DecodeFrame(raw.value(), &type, &body, &body_len);
   if (!decoded.ok()) return {std::move(decoded), bytes};
-  if (type == MessageType::kError) return {DecodeError(body, body_len), bytes};
+  if (type == MessageType::kError) {
+    return {DecodeError(body, body_len), bytes, /*refused=*/true};
+  }
   return {std::move(raw), bytes};
 }
 
 }  // namespace
 
-/// Completion channel between a caller and its async attempts. Heap-
-/// allocated and shared: a hedge loser finishing after the caller
+/// A thread started with the index that runs queued attempts one at a
+/// time, in queue order. Destruction lets it finish the queue, then
+/// joins it.
+class RemoteClusterIndex::Lane {
+ public:
+  Lane() : thread_([this] { Run(); }) {}
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+
+  ~Lane() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+  void Post(std::function<void()> attempt) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.push_back(std::move(attempt));
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      std::function<void()> attempt = std::move(queue_.front());
+      queue_.pop_front();
+      lock.unlock();
+      attempt();
+      attempt = nullptr;  // release its channel before sleeping again
+      lock.lock();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  ///< guarded by mu_
+  bool stop_ = false;                        ///< guarded by mu_
+  std::thread thread_;  ///< last: starts once the members above exist
+};
+
+RemoteClusterIndex::ShardState::~ShardState() = default;
+
+/// Completion channel between a caller and the attempts it queued.
+/// Heap-allocated and shared: a hedge loser finishing after the caller
 /// returned writes into this, not into the caller's stack.
-struct RemoteClusterIndex::HedgedCall {
-  std::mutex mu;
-  std::condition_variable cv;
+struct RemoteClusterIndex::Completions {
   struct Done {
-    Result<std::vector<uint8_t>> frame = Status::Unavailable("pending");
-    size_t bytes = 0;
+    size_t call = 0;
     size_t replica = 0;
     bool is_hedge = false;
+    bool sent = false;  ///< the request reached the transport
+    Attempt attempt{Status::Unavailable("pending")};
   };
-  std::vector<Done> done;
+
+  explicit Completions(size_t calls) : answered(calls) {}
+
+  void Push(Done done) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      this->done.push_back(std::move(done));
+    }
+    cv.notify_one();
+  }
+
+  /// Everything completed so far; blocks until something has, or until
+  /// `until` passes (then possibly empty).
+  std::vector<Done> Take(const std::optional<SteadyClock::time_point>& until) {
+    std::unique_lock<std::mutex> lock(mu);
+    auto ready = [this] { return !done.empty(); };
+    if (until.has_value()) {
+      cv.wait_until(lock, *until, ready);
+    } else {
+      cv.wait(lock, ready);
+    }
+    return std::exchange(done, {});
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<Done> done;  ///< guarded by mu
+  /// Per call: an answer was taken, so its queued attempts are dropped.
+  std::vector<std::atomic<bool>> answered;
 };
 
 RemoteClusterIndex::RemoteClusterIndex(std::vector<Shard> shards)
@@ -87,34 +172,21 @@ RemoteClusterIndex::RemoteClusterIndex(std::vector<ReplicaSet> shards,
     assert(!set.replicas.empty());
     auto state = std::make_unique<ShardState>();
     state->health.resize(set.replicas.size());
+    for (size_t r = 0; r < set.replicas.size(); ++r) {
+      state->lanes.push_back(std::make_unique<Lane>());
+    }
     shard_state_.push_back(std::move(state));
   }
 }
 
 RemoteClusterIndex::~RemoteClusterIndex() {
-  // Hedge losers still hold `this` (they record replica health); the
-  // index must not die under them.
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
+  // Queued attempts still use `this` (they record replica health), so
+  // every lane drains and joins before any other member dies.
+  for (const auto& state : shard_state_) state->lanes.clear();
 }
 
-void RemoteClusterIndex::SetExecutor(ThreadPool* pool) {
-  executor_ = pool;
-  if (pool == nullptr) owned_pool_.reset();
-}
-
-void RemoteClusterIndex::EnableParallelism(size_t num_threads) {
-  owned_pool_ = std::make_unique<ThreadPool>(num_threads);
-  executor_ = owned_pool_.get();
-}
-
-void RemoteClusterIndex::ForEachShard(
-    const std::function<void(size_t)>& fn) const {
-  if (executor_ != nullptr && shards_.size() > 1) {
-    executor_->ParallelFor(0, shards_.size(), fn);
-  } else {
-    for (size_t i = 0; i < shards_.size(); ++i) fn(i);
-  }
+void RemoteClusterIndex::EnableParallelism(size_t /*num_threads*/) {
+  parallel_ = true;
 }
 
 int32_t RemoteClusterIndex::global_df(std::string_view stem) const {
@@ -202,152 +274,32 @@ void RemoteClusterIndex::RecordExchangeLatency(size_t shard,
 
 void RemoteClusterIndex::StartAsyncAttempt(
     size_t shard, size_t replica,
-    std::shared_ptr<const std::vector<uint8_t>> frame, bool is_hedge,
-    std::shared_ptr<HedgedCall> state) const {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_;
-  }
-  Transport* transport = shards_[shard].replicas[replica].transport;
-  const int timeout_ms = options_.timeout_ms;
-  std::thread([this, shard, replica, transport, timeout_ms,
-               frame = std::move(frame), is_hedge, state = std::move(state)] {
-    Timer timer;
-    Attempt attempt = ClassifyResponse(
-        transport->Call(*frame, Deadline::After(timeout_ms)));
-    RecordCallOutcome(shard, replica, attempt.frame.ok(),
-                      timer.ElapsedMillis() * 1e3);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->done.push_back({std::move(attempt.frame), attempt.bytes, replica,
-                             is_hedge});
-    }
-    state->cv.notify_all();
-    {
-      // Notify under the lock: the destructor destroys this cv the
-      // moment its wait observes inflight_ == 0, and it can only
-      // observe that after we release the mutex.
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_;
-      inflight_cv_.notify_all();
-    }
-  }).detach();
-}
-
-Result<std::vector<uint8_t>> RemoteClusterIndex::HedgedExchange(
-    size_t shard,
-    const std::vector<std::shared_ptr<const std::vector<uint8_t>>>& frames,
-    ExchangeTelemetry* t) const {
-  // The attempt walk: replicas healthiest-first, the whole order
-  // repeated for each retry pass. A single-replica shard degenerates
-  // to the old retry loop exactly.
-  const std::vector<size_t> order = HealthOrder(shard);
-  std::vector<size_t> seq;
-  seq.reserve(order.size() * static_cast<size_t>(options_.retries + 1));
-  for (int pass = 0; pass <= options_.retries; ++pass) {
-    for (size_t r : order) seq.push_back(r);
-  }
-
-  Timer exchange_timer;
-  Status last = Status::Unavailable("no replica answered");
-  size_t next = 0;
-  const int64_t budget_us = HedgeBudgetUs(shard);
-
-  if (budget_us < 0) {
-    // Hedging not armed: walk the sequence synchronously — no spawned
-    // threads, identical cost profile to the pre-replica code.
-    while (next < seq.size()) {
-      const size_t replica = seq[next++];
-      t->messages += 1;
-      t->bytes += frames[replica]->size();
-      Timer call_timer;
-      Attempt attempt = ClassifyResponse(
-          shards_[shard].replicas[replica].transport->Call(
-              *frames[replica], Deadline::After(options_.timeout_ms)));
-      if (attempt.bytes > 0) {
-        t->messages += 1;
-        t->bytes += attempt.bytes;
-      }
-      RecordCallOutcome(shard, replica, attempt.frame.ok(),
-                        call_timer.ElapsedMillis() * 1e3);
-      if (attempt.frame.ok()) {
-        RecordExchangeLatency(shard, exchange_timer.ElapsedMillis() * 1e3);
-        return std::move(attempt.frame);
-      }
-      last = attempt.frame.status();
-      if (next < seq.size() && seq[next] != replica) {
-        t->failovers += 1;
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return last;
-  }
-
-  // Hedged path: attempts run on registered async threads so the
-  // caller can fire the next replica while the first is still in
-  // flight. At most two attempts outstanding; first well-formed answer
-  // wins; losers land in `state` (heap-shared) and only update health.
-  auto state = std::make_shared<HedgedCall>();
-  size_t outstanding = 0;
-  auto launch = [&](bool is_hedge) {
-    const size_t replica = seq[next++];
-    t->messages += 1;
-    t->bytes += frames[replica]->size();
-    ++outstanding;
-    StartAsyncAttempt(shard, replica, frames[replica], is_hedge, state);
-  };
-  launch(/*is_hedge=*/false);
-
-  size_t consumed = 0;
-  std::unique_lock<std::mutex> lock(state->mu);
-  while (true) {
-    if (state->done.size() == consumed) {
-      if (outstanding == 0) return last;  // walk exhausted, all failed
-      if (next < seq.size() && outstanding < 2) {
-        const bool completed = state->cv.wait_for(
-            lock, std::chrono::microseconds(budget_us),
-            [&] { return state->done.size() > consumed; });
-        if (!completed) {
-          // Budget blown: hedge to the next replica in the walk.
-          lock.unlock();
-          launch(/*is_hedge=*/true);
-          lock.lock();
-          t->hedges_fired += 1;
-          hedges_fired_.fetch_add(1, std::memory_order_relaxed);
-          continue;
+    std::shared_ptr<const std::vector<uint8_t>> frame, size_t call,
+    bool is_hedge, std::shared_ptr<Completions> channel) const {
+  const Deadline deadline = Deadline::After(options_.timeout_ms);
+  shard_state_[shard]->lanes[replica]->Post(
+      [this, shard, replica, frame = std::move(frame), call, is_hedge,
+       channel = std::move(channel), deadline] {
+        // A loser whose call took another answer: nobody waits for it.
+        if (channel->answered[call].load(std::memory_order_acquire)) return;
+        Completions::Done done{call, replica, is_hedge};
+        if (deadline.Expired()) {
+          // It spent its whole budget queued behind earlier calls: a
+          // timeout the transport never has to see.
+          done.attempt.frame =
+              Status::DeadlineExceeded("attempt expired in the replica queue");
+          RecordCallOutcome(shard, replica, false, options_.timeout_ms * 1e3);
+        } else {
+          Timer timer;
+          done.sent = true;
+          done.attempt = ClassifyResponse(
+              shards_[shard].replicas[replica].transport->Call(*frame,
+                                                               deadline));
+          RecordCallOutcome(shard, replica, done.attempt.frame.ok(),
+                            timer.ElapsedMillis() * 1e3);
         }
-      } else {
-        state->cv.wait(lock,
-                       [&] { return state->done.size() > consumed; });
-      }
-    }
-    HedgedCall::Done& done = state->done[consumed++];
-    --outstanding;
-    if (done.bytes > 0) {
-      t->messages += 1;
-      t->bytes += done.bytes;
-    }
-    if (done.frame.ok()) {
-      if (done.is_hedge) {
-        t->hedge_wins += 1;
-        hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-      }
-      RecordExchangeLatency(shard, exchange_timer.ElapsedMillis() * 1e3);
-      return std::move(done.frame);
-    }
-    last = done.frame.status();
-    if (next < seq.size() && outstanding < 2) {
-      const size_t failed_replica = done.replica;
-      const size_t replacement = seq[next];
-      lock.unlock();
-      launch(/*is_hedge=*/false);
-      lock.lock();
-      if (replacement != failed_replica) {
-        t->failovers += 1;
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+        channel->Push(std::move(done));
+      });
 }
 
 Status RemoteClusterIndex::Connect() {
@@ -482,6 +434,40 @@ Result<std::vector<uint8_t>> RemoteClusterIndex::CallReplica(
   return response;
 }
 
+template <typename Response, typename Identity>
+Status RemoteClusterIndex::AcceptAck(
+    size_t shard, size_t replica, const char* what,
+    Result<std::vector<uint8_t>> answer, MessageType want,
+    Result<Response> (*decode)(const uint8_t*, size_t),
+    const Identity& identity, std::optional<Response>* first) const {
+  DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame, std::move(answer));
+  MessageType type;
+  const uint8_t* body = nullptr;
+  size_t body_len = 0;
+  DLS_RETURN_IF_ERROR(DecodeFrame(frame, &type, &body, &body_len));
+  if (type != want) {
+    return Status::Corruption(
+        StrFormat("%s: unexpected response frame type", what));
+  }
+  DLS_ASSIGN_OR_RETURN(Response response, decode(body, body_len));
+  if (!first->has_value()) {
+    *first = std::move(response);
+    return Status::Ok();
+  }
+  const auto [want_key, want_epoch] = identity(**first);
+  const auto [got_key, got_epoch] = identity(response);
+  if (got_key != want_key || got_epoch != want_epoch) {
+    return Status::Internal(StrFormat(
+        "shard %zu replica %zu diverged on %s (%llu, epoch %llu vs %llu, "
+        "epoch %llu); replicas no longer serve identical content",
+        shard, replica, what, static_cast<unsigned long long>(got_key),
+        static_cast<unsigned long long>(got_epoch),
+        static_cast<unsigned long long>(want_key),
+        static_cast<unsigned long long>(want_epoch)));
+  }
+  return Status::Ok();
+}
+
 template <typename Response, typename Encode, typename Identity>
 Status RemoteClusterIndex::MutateReplicas(
     size_t shard, const char* what, const Encode& encode, MessageType want,
@@ -491,32 +477,19 @@ Status RemoteClusterIndex::MutateReplicas(
   for (size_t r = 0; r < replicas.size(); ++r) {
     DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> frame,
                          encode(replicas[r].node_id));
-    DLS_ASSIGN_OR_RETURN(const std::vector<uint8_t> answer,
-                         CallReplica(replicas[r], frame));
-    MessageType type;
-    const uint8_t* body = nullptr;
-    size_t body_len = 0;
-    DLS_RETURN_IF_ERROR(DecodeFrame(answer, &type, &body, &body_len));
-    if (type != want) {
-      return Status::Corruption(
-          StrFormat("%s: unexpected response frame type", what));
+    // Sent once: a resend of a write the node applied before its answer
+    // was lost would report AlreadyExists or found=false instead.
+    Attempt attempt = ClassifyResponse(replicas[r].transport->Call(
+        frame, Deadline::After(options_.timeout_ms)));
+    if (!attempt.frame.ok() && !attempt.refused) {
+      return Status::Unavailable(StrFormat(
+          "shard %zu replica %zu: the answer to %s was lost (%s); the node "
+          "may have applied it, so run Connect() again to resynchronise the "
+          "statistics",
+          shard, r, what, attempt.frame.status().message().c_str()));
     }
-    DLS_ASSIGN_OR_RETURN(Response response, decode(body, body_len));
-    if (!first->has_value()) {
-      *first = std::move(response);
-      continue;
-    }
-    const auto [want_key, want_epoch] = identity(**first);
-    const auto [got_key, got_epoch] = identity(response);
-    if (got_key != want_key || got_epoch != want_epoch) {
-      return Status::Internal(StrFormat(
-          "shard %zu replica %zu diverged on %s (%llu, epoch %llu vs %llu, "
-          "epoch %llu); replicas no longer serve identical content",
-          shard, r, what, static_cast<unsigned long long>(got_key),
-          static_cast<unsigned long long>(got_epoch),
-          static_cast<unsigned long long>(want_key),
-          static_cast<unsigned long long>(want_epoch)));
-    }
+    DLS_RETURN_IF_ERROR(AcceptAck(shard, r, what, std::move(attempt.frame),
+                                  want, decode, identity, first));
   }
   return Status::Ok();
 }
@@ -608,23 +581,60 @@ Result<bool> RemoteClusterIndex::Delete(std::string_view url) {
 }
 
 Status RemoteClusterIndex::MergeAll() {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::mutex> write_lock(shard_state_[i]->write_mu);
-    std::optional<MergeResponse> first;
-    const Status status = MutateReplicas(
-        i, "merge",
-        [](uint32_t node_id) -> Result<std::vector<uint8_t>> {
-          return EncodeMergeRequest(MergeRequest{node_id});
-        },
-        MessageType::kMergeResponse, &DecodeMergeResponse,
-        [](const MergeResponse& r) { return std::pair(uint64_t{0}, r.epoch); },
-        &first);
-    // A merge leaves the effective statistics unchanged by construction:
-    // only the shard's epoch moves.
-    if (first.has_value()) {
-      DLS_RETURN_IF_ERROR(ApplyDelta(i, first->epoch, 0, 0, {}));
+  // The shards merge at once, each walking its replicas in order on
+  // their lanes under its own write lock. The locks are taken in shard
+  // order, as Connect() takes them, so the two cannot deadlock; each is
+  // released as soon as its shard is done.
+  const size_t count = shards_.size();
+  auto channel = std::make_shared<Completions>(count);
+  std::vector<std::unique_lock<std::mutex>> write_locks;
+  write_locks.reserve(count);
+  std::vector<size_t> replica(count, 0);
+  std::vector<int> resends(count, 0);
+  std::vector<std::optional<MergeResponse>> first(count);
+  std::vector<Status> status(count, Status::Ok());
+  auto send = [&](size_t i) {
+    StartAsyncAttempt(i, replica[i],
+                      std::make_shared<const std::vector<uint8_t>>(
+                          EncodeMergeRequest(MergeRequest{
+                              shards_[i].replicas[replica[i]].node_id})),
+                      i, /*is_hedge=*/false, channel);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    write_locks.emplace_back(shard_state_[i]->write_mu);
+    send(i);
+  }
+  for (size_t pending = count; pending > 0;) {
+    for (Completions::Done& done : channel->Take(std::nullopt)) {
+      const size_t i = done.call;
+      // A merge is idempotent, so a failed one may be resent.
+      if (!done.attempt.frame.ok() && resends[i] < options_.retries) {
+        ++resends[i];
+        send(i);
+        continue;
+      }
+      resends[i] = 0;
+      status[i] = AcceptAck(
+          i, done.replica, "merge", std::move(done.attempt.frame),
+          MessageType::kMergeResponse, &DecodeMergeResponse,
+          [](const MergeResponse& r) { return std::pair(uint64_t{0}, r.epoch); },
+          &first[i]);
+      if (status[i].ok() && ++replica[i] < shards_[i].replicas.size()) {
+        send(i);
+        continue;
+      }
+      // A merge leaves the effective statistics unchanged by
+      // construction: only the shard's epoch moves.
+      if (first[i].has_value()) {
+        const Status applied = ApplyDelta(i, first[i]->epoch, 0, 0, {});
+        if (!applied.ok()) status[i] = applied;
+      }
+      write_locks[i].unlock();
+      --pending;
     }
-    DLS_RETURN_IF_ERROR(status);
+  }
+  for (const Status& shard_status : status) {
+    DLS_RETURN_IF_ERROR(shard_status);
   }
   return Status::Ok();
 }
@@ -661,20 +671,69 @@ ir::ShardQuery RemoteClusterIndex::ResolveQuery(
   return request;
 }
 
-void RemoteClusterIndex::CallShard(size_t shard,
-                                   const std::vector<ir::ShardQuery>& queries,
-                                   ShardOutcome* outcome) const {
-  const std::vector<Shard>& replicas = shards_[shard].replicas;
-  // One encoded frame per replica — replicas may address the node
-  // under different node ids on different servers, but replicas
-  // sharing an id share the encoding.
-  std::vector<std::shared_ptr<const std::vector<uint8_t>>> frames(
-      replicas.size());
-  std::unordered_map<uint32_t, std::shared_ptr<const std::vector<uint8_t>>>
-      by_node;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    auto it = by_node.find(replicas[r].node_id);
-    if (it == by_node.end()) {
+void RemoteClusterIndex::FanOut(const std::vector<ir::ShardQuery>& queries,
+                                size_t first, size_t last,
+                                std::vector<ShardOutcome>* outcomes) const {
+  // One shard's exchange: its attempt walk — replicas healthiest
+  // first, the whole order repeated for each retry pass, so a single-
+  // replica shard degenerates to the plain retry loop — and where the
+  // walk stands.
+  struct Call {
+    /// One request frame per replica: replicas may address the node
+    /// under different ids on different servers; replicas sharing an
+    /// id share the encoding.
+    std::vector<std::shared_ptr<const std::vector<uint8_t>>> frames;
+    std::vector<size_t> walk;
+    size_t next = 0;
+    size_t outstanding = 0;
+    /// -1 when hedging is not armed: a budget that never fires.
+    int64_t budget_us = -1;
+    /// When the lone outstanding attempt blows the budget, if a next
+    /// replica is left to hedge to.
+    std::optional<SteadyClock::time_point> hedge_at;
+    Timer timer;
+    std::optional<std::vector<uint8_t>> answer;
+    bool finished = false;
+  };
+  const size_t count = last - first;
+  auto channel = std::make_shared<Completions>(count);
+  std::vector<Call> calls(count);
+
+  auto launch = [&](size_t c, bool is_hedge) {
+    Call& call = calls[c];
+    const size_t replica = call.walk[call.next++];
+    ShardOutcome& o = (*outcomes)[first + c];
+    o.messages += 1;
+    o.bytes += call.frames[replica]->size();
+    ++call.outstanding;
+    StartAsyncAttempt(first + c, replica, call.frames[replica], c, is_hedge,
+                      channel);
+  };
+  // The budget runs from the latest event while one attempt is out; a
+  // second attempt out, or an exhausted walk, leaves nothing to fire.
+  auto arm = [](Call& call) {
+    if (call.budget_us >= 0 && call.outstanding == 1 &&
+        call.next < call.walk.size()) {
+      call.hedge_at =
+          SteadyClock::now() + std::chrono::microseconds(call.budget_us);
+    } else {
+      call.hedge_at.reset();
+    }
+  };
+
+  size_t pending = 0;
+  for (size_t c = 0; c < count; ++c) {
+    const size_t shard = first + c;
+    Call& call = calls[c];
+    const std::vector<Shard>& replicas = shards_[shard].replicas;
+    call.frames.resize(replicas.size());
+    for (size_t r = 0; r < replicas.size(); ++r) {
+      for (size_t prev = 0; prev < r && !call.frames[r]; ++prev) {
+        if (replicas[prev].node_id == replicas[r].node_id) {
+          call.frames[r] = call.frames[prev];
+        }
+      }
+      if (call.frames[r]) continue;
       QueryRequest request;
       request.node_id = replicas[r].node_id;
       request.queries = queries;
@@ -683,44 +742,107 @@ void RemoteClusterIndex::CallShard(size_t shard,
       // shard counts as lost (every shard fails identically, so the
       // query comes back empty with predicted_quality 0 rather than
       // half-shipped).
-      if (!encoded.ok()) return;
-      it = by_node
-               .emplace(replicas[r].node_id,
-                        std::make_shared<const std::vector<uint8_t>>(
-                            std::move(encoded).value()))
-               .first;
+      if (!encoded.ok()) {
+        call.finished = true;
+        break;
+      }
+      call.frames[r] = std::make_shared<const std::vector<uint8_t>>(
+          std::move(encoded).value());
     }
-    frames[r] = it->second;
+    if (call.finished) continue;
+    const std::vector<size_t> order = HealthOrder(shard);
+    for (int pass = 0; pass <= options_.retries; ++pass) {
+      call.walk.insert(call.walk.end(), order.begin(), order.end());
+    }
+    call.budget_us = HedgeBudgetUs(shard);
+    call.timer.Reset();
+    launch(c, /*is_hedge=*/false);
+    arm(call);
+    ++pending;
   }
-  ExchangeTelemetry telemetry;
-  Result<std::vector<uint8_t>> frame =
-      HedgedExchange(shard, frames, &telemetry);
-  outcome->messages += telemetry.messages;
-  outcome->bytes += telemetry.bytes;
-  outcome->hedges_fired += telemetry.hedges_fired;
-  outcome->hedge_wins += telemetry.hedge_wins;
-  outcome->failovers += telemetry.failovers;
-  if (!frame.ok()) return;  // shard lost: outcome stays !alive
-  MessageType type;
-  const uint8_t* body = nullptr;
-  size_t body_len = 0;
-  if (!DecodeFrame(frame.value(), &type, &body, &body_len).ok()) return;
-  if (type != MessageType::kQueryResponse) return;  // junk frame type
-  Result<QueryResponse> response = DecodeQueryResponse(body, body_len);
-  if (!response.ok()) return;
-  // A response that doesn't answer the batch is as lost as no
-  // response: partial merges would silently drop documents.
-  if (response.value().results.size() != queries.size()) return;
-  outcome->results = std::move(response.value().results);
-  outcome->alive = true;
-}
 
-std::vector<RemoteClusterIndex::ShardOutcome> RemoteClusterIndex::FanOut(
-    const std::vector<ir::ShardQuery>& queries) const {
-  std::vector<ShardOutcome> outcomes(shards_.size());
-  ForEachShard(
-      [&](size_t i) { CallShard(i, queries, &outcomes[i]); });
-  return outcomes;
+  while (pending > 0) {
+    std::optional<SteadyClock::time_point> wake;
+    for (const Call& call : calls) {
+      if (!call.finished && call.hedge_at.has_value() &&
+          (!wake.has_value() || *call.hedge_at < *wake)) {
+        wake = call.hedge_at;
+      }
+    }
+    std::vector<Completions::Done> completed = channel->Take(wake);
+    if (completed.empty()) {
+      // Budgets blown: hedge each such shard to the next replica in
+      // its walk, without cancelling the attempt already out.
+      const SteadyClock::time_point now = SteadyClock::now();
+      for (size_t c = 0; c < count; ++c) {
+        Call& call = calls[c];
+        if (call.finished || !call.hedge_at.has_value() ||
+            *call.hedge_at > now) {
+          continue;
+        }
+        launch(c, /*is_hedge=*/true);
+        (*outcomes)[first + c].hedges_fired += 1;
+        hedges_fired_.fetch_add(1, std::memory_order_relaxed);
+        arm(call);
+      }
+      continue;
+    }
+    for (Completions::Done& done : completed) {
+      Call& call = calls[done.call];
+      if (call.finished) continue;  // a loser after the winner: unread
+      const size_t shard = first + done.call;
+      ShardOutcome& o = (*outcomes)[shard];
+      --call.outstanding;
+      if (!done.sent) {
+        o.messages -= 1;
+        o.bytes -= call.frames[done.replica]->size();
+      }
+      if (done.attempt.bytes > 0) {
+        o.messages += 1;
+        o.bytes += done.attempt.bytes;
+      }
+      if (done.attempt.frame.ok()) {
+        if (done.is_hedge) {
+          o.hedge_wins += 1;
+          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
+        }
+        RecordExchangeLatency(shard, call.timer.ElapsedMillis() * 1e3);
+        channel->answered[done.call].store(true, std::memory_order_release);
+        call.answer = std::move(done.attempt.frame).value();
+        call.finished = true;
+        --pending;
+        continue;
+      }
+      if (call.next < call.walk.size() && call.outstanding < 2) {
+        if (call.walk[call.next] != done.replica) {
+          o.failovers += 1;
+          failovers_.fetch_add(1, std::memory_order_relaxed);
+        }
+        launch(done.call, /*is_hedge=*/false);
+      } else if (call.outstanding == 0) {
+        call.finished = true;  // walk exhausted, every attempt failed
+        --pending;
+      }
+      arm(call);
+    }
+  }
+
+  for (size_t c = 0; c < count; ++c) {
+    if (!calls[c].answer.has_value()) continue;  // shard lost: stays !alive
+    MessageType type;
+    const uint8_t* body = nullptr;
+    size_t body_len = 0;
+    if (!DecodeFrame(*calls[c].answer, &type, &body, &body_len).ok()) continue;
+    if (type != MessageType::kQueryResponse) continue;  // junk frame type
+    Result<QueryResponse> response = DecodeQueryResponse(body, body_len);
+    if (!response.ok()) continue;
+    // A response that doesn't answer the batch is as lost as no
+    // response: partial merges would silently drop documents.
+    if (response.value().results.size() != queries.size()) continue;
+    ShardOutcome& o = (*outcomes)[first + c];
+    o.results = std::move(response.value().results);
+    o.alive = true;
+  }
 }
 
 /// The quality estimate multiplies the idf-mass a-priori estimate
@@ -830,18 +952,16 @@ std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
     total_docs = total_docs_;
   }
 
-  std::vector<ShardOutcome> outcomes;
-  if (options.prune && n > 0 &&
-      (executor_ == nullptr || shards_.size() <= 1)) {
+  std::vector<ShardOutcome> outcomes(shards_.size());
+  if (options.prune && n > 0 && (!parallel_ || shards_.size() <= 1)) {
     // Sequential threshold feedback, as in-process: push the running
     // global n-th best score to later shards. Exact either way — only
     // the work stats differ from the parallel fan-out.
-    outcomes.resize(shards_.size());
     std::priority_queue<double, std::vector<double>, std::greater<double>>
         best;
     ir::ShardQuery request = base;
     for (size_t i = 0; i < shards_.size(); ++i) {
-      CallShard(i, {request}, &outcomes[i]);
+      FanOut({request}, i, i + 1, &outcomes);
       if (!outcomes[i].alive) continue;
       for (const ir::ClusterScoredDoc& d : outcomes[i].results[0].top) {
         if (best.size() < n) {
@@ -854,7 +974,7 @@ std::vector<ir::ClusterScoredDoc> RemoteClusterIndex::Query(
       if (best.size() == n) request.threshold = best.top();
     }
   } else {
-    outcomes = FanOut({base});
+    FanOut({base}, 0, shards_.size(), &outcomes);
   }
 
   ir::ClusterQueryStats local_stats;
@@ -899,7 +1019,8 @@ std::vector<std::vector<ir::ClusterScoredDoc>> RemoteClusterIndex::QueryBatch(
     total_docs = total_docs_;
   }
 
-  std::vector<ShardOutcome> outcomes = FanOut(requests);
+  std::vector<ShardOutcome> outcomes(shards_.size());
+  FanOut(requests, 0, shards_.size(), &outcomes);
 
   ir::ClusterQueryStats local_stats;
   AggregateStats(requests, idf_mass_totals, outcomes, shard_docs, total_docs,

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -19,10 +18,6 @@
 #include "ir/index.h"
 #include "net/transport.h"
 #include "net/wire.h"
-
-namespace dls {
-class ThreadPool;
-}  // namespace dls
 
 namespace dls::net {
 
@@ -57,11 +52,23 @@ namespace dls::net {
 /// outlives the rolling p95 budget fires the next replica in the walk
 /// without cancelling the first; the first well-formed answer wins and
 /// the loser is ignored (its late completion only updates replica
-/// health). At most two attempts are in flight per call. The
-/// destructor waits for stray losers, so no call outlives the index.
+/// health). At most two attempts are in flight per call.
 ///
-/// Failure semantics: every attempt gets Options::timeout_ms (a fresh
-/// attempt reconnects a poisoned TcpTransport connection), and a shard
+/// Attempt lanes: every replica has one lane, a thread started by the
+/// constructor that runs that replica's attempts one at a time in
+/// queue order (a TcpTransport serialises its calls anyway). A fan-out
+/// queues each shard's attempt on its lane from the calling thread and
+/// then runs every shard's hedge budget and failover walk in one loop
+/// over a shared completion channel, so a query starts no thread and
+/// wakes only the lanes it uses. An attempt's deadline starts when it
+/// is queued; a lane drops an attempt whose deadline has passed, or
+/// whose call is already answered, without touching the transport. The
+/// destructor lets the lanes drain (a loser still on the wire finishes
+/// first) and joins them, so no attempt outlives the index.
+///
+/// Failure semantics: every attempt gets Options::timeout_ms from the
+/// moment it is queued (a fresh attempt reconnects a poisoned
+/// TcpTransport connection), and a shard
 /// whose walk is exhausted is dropped from the query: the merge
 /// proceeds over the surviving nodes and
 /// ClusterQueryStats.predicted_quality is scaled by the surviving
@@ -73,12 +80,13 @@ namespace dls::net {
 /// encoded frames*: one message and its byte size per request frame
 /// handed to a transport (retries and hedges included) and per
 /// response frame received — identical accounting on loopback and TCP.
-/// A hedge loser's response that lands after the winner was taken is
-/// not counted (nobody read it).
+/// A hedge loser is charged its request when it is queued, and its
+/// response, landing after the winner was taken, is not counted
+/// (nobody read it).
 ///
 /// Thread-safety: after Connect(), concurrent Query()/QueryBatch()
-/// calls are safe (transports serialise internally; result slots are
-/// per-shard and per-call; health state is internally locked), also
+/// calls are safe (lanes and transports serialise internally; result
+/// slots are per-call; health state is internally locked), also
 /// alongside Insert()/Delete()/MergeAll().
 class RemoteClusterIndex {
  public:
@@ -141,7 +149,8 @@ class RemoteClusterIndex {
   explicit RemoteClusterIndex(std::vector<Shard> shards);
   RemoteClusterIndex(std::vector<Shard> shards, Options options);
   RemoteClusterIndex(std::vector<ReplicaSet> shards, Options options);
-  /// Waits for in-flight hedge losers before tearing down.
+  /// Drains and joins the attempt lanes (in-flight hedge losers
+  /// finish first).
   ~RemoteClusterIndex();
 
   /// Stats handshake: fetches every replica's local statistics,
@@ -160,12 +169,12 @@ class RemoteClusterIndex {
   /// deployment error, unlike one that degrades under load.
   Status Connect();
 
-  /// Uses `pool` (non-owning, may be nullptr for sequential) to fan
-  /// out per-shard calls.
-  void SetExecutor(ThreadPool* pool);
-
-  /// Creates and owns an internal pool of `num_threads` workers and
-  /// uses it as the executor.
+  /// Queries exchange with every shard at once. Until this is called,
+  /// a pruned Query() visits the shards one after another and pushes
+  /// the running n-th best score to later shards, as the sequential
+  /// ClusterIndex does; other exchanges always run at once. The lanes
+  /// do the concurrent work, so `num_threads` (kept for signature parity
+  /// with ClusterIndex) starts nothing.
   void EnableParallelism(size_t num_threads);
 
   size_t num_shards() const { return shards_.size(); }
@@ -220,7 +229,11 @@ class RemoteClusterIndex {
   // copies, which is what keeps failover and hedging exactness-safe.
   // Mutations are never hedged or failed over (they are not idempotent;
   // a replica that cannot be reached leaves the set diverged and the
-  // call reports it). Mutations of one shard are serialised, so its
+  // call reports it). Insert and Delete frames are never resent either:
+  // when an answer is lost (a transport error or an undecodable frame)
+  // the node may have applied the write, so the call fails with
+  // kUnavailable and the statistics stay behind that node until
+  // Connect() runs again. Mutations of one shard are serialised, so its
   // replicas apply them in one order.
   //
   // Every Insert/Delete acknowledgement carries the mutation's
@@ -248,7 +261,12 @@ class RemoteClusterIndex {
   Result<bool> Delete(std::string_view url);
 
   /// Asks every replica of every shard to pack its delta tier into a
-  /// frozen run. Queries keep serving off pinned snapshots throughout.
+  /// frozen run. The shards merge at once, each under its own write
+  /// lock and over its replicas in order; the first error is returned
+  /// after every shard has finished, and every acknowledged epoch is
+  /// applied. The merge frames ride the replicas' attempt lanes, so
+  /// their latency and failures feed replica health like query
+  /// attempts. Queries keep serving off pinned snapshots throughout.
   /// Only the shard epochs move: a merge leaves the effective
   /// statistics unchanged by construction.
   Status MergeAll();
@@ -289,16 +307,6 @@ class RemoteClusterIndex {
     size_t failovers = 0;
   };
 
-  /// Wire/routing accounting of one exchange (Connect and CallShard
-  /// fold it into their own books).
-  struct ExchangeTelemetry {
-    size_t messages = 0;
-    size_t bytes = 0;
-    size_t hedges_fired = 0;
-    size_t hedge_wins = 0;
-    size_t failovers = 0;
-  };
-
   /// Per-replica health, EWMA-smoothed; guarded by ShardState::mu.
   struct ReplicaHealth {
     double ewma_latency_us = 0;  ///< successful-call latency (0 = none yet)
@@ -306,8 +314,12 @@ class RemoteClusterIndex {
     uint64_t samples = 0;
   };
 
+  /// One replica's attempt lane (defined in the .cc).
+  class Lane;
+
   /// Mutable routing state of one shard.
   struct ShardState {
+    ~ShardState();  // out of line: Lane is complete only in the .cc
     /// Serialises the mutations routed to this shard (and Connect()),
     /// so replicas apply them in one order and their deltas reach the
     /// statistics in the shard's epoch order.
@@ -320,23 +332,34 @@ class RemoteClusterIndex {
     std::array<uint32_t, 64> window_us{};
     size_t window_count = 0;
     size_t window_next = 0;
+    /// One attempt lane per replica, started with the index.
+    std::vector<std::unique_ptr<Lane>> lanes;
   };
 
-  /// Completion channel between a caller and its async attempts.
-  struct HedgedCall;
+  /// Completion channel between a caller and the attempts it queued.
+  struct Completions;
 
   /// One non-hedged, non-failover exchange with a specific replica
-  /// (the handshake and mutations must hit every replica, not any one
-  /// of them); retries the same replica Options::retries times.
+  /// (the handshake must hit every replica, not any one of them);
+  /// retries the same replica Options::retries times, which is safe
+  /// because a StatsRequest changes nothing.
   Result<std::vector<uint8_t>> CallReplica(
       const Shard& replica, const std::vector<uint8_t>& frame) const;
 
-  /// Sends one mutation (`what`, for messages) to every replica of
-  /// `shard` in order, decodes each answer as a `want` frame, and holds
-  /// its identity(answer) — (id or found, epoch) — to the first
-  /// answer's. Stops at the first failure and returns it; `first` keeps
-  /// the first acknowledgement either way. Caller holds the shard's
-  /// write_mu.
+  /// Checks one replica's answer to a mutation (`what`, for messages):
+  /// decodes it as a `want` frame and holds its identity(answer) —
+  /// (id or found, epoch) — to the first answer's, which `first` keeps.
+  template <typename Response, typename Identity>
+  Status AcceptAck(size_t shard, size_t replica, const char* what,
+                   Result<std::vector<uint8_t>> answer, MessageType want,
+                   Result<Response> (*decode)(const uint8_t*, size_t),
+                   const Identity& identity,
+                   std::optional<Response>* first) const;
+
+  /// Sends one Insert or Delete (`what`) to every replica of `shard` in
+  /// order, once each, and checks every answer with AcceptAck. Stops at
+  /// the first failure and returns it; `first` keeps the first
+  /// acknowledgement either way. Caller holds the shard's write_mu.
   template <typename Response, typename Encode, typename Identity>
   Status MutateReplicas(size_t shard, const char* what, const Encode& encode,
                         MessageType want,
@@ -371,31 +394,24 @@ class RemoteClusterIndex {
                          double elapsed_us) const;
   void RecordExchangeLatency(size_t shard, double elapsed_us) const;
 
-  /// One shard exchange over the replica walk: failover on failed
-  /// attempts, hedging past the budget. `frames` holds one request
-  /// frame per replica (replicas may address different node ids).
-  /// Returns the winning well-formed non-Error frame.
-  Result<std::vector<uint8_t>> HedgedExchange(
-      size_t shard,
-      const std::vector<std::shared_ptr<const std::vector<uint8_t>>>& frames,
-      ExchangeTelemetry* telemetry) const;
-
-  /// Launches one attempt on a detached (but inflight-counted) thread.
+  /// Queues one attempt of `channel`'s call number `call` on the lane
+  /// of (shard, replica). Its deadline (Options::timeout_ms) starts
+  /// now. When the lane reaches it, an attempt whose call is answered
+  /// is dropped unseen, and one whose deadline has passed fails
+  /// without touching the transport; any other runs, records the
+  /// replica's health, and lands in `channel`.
   void StartAsyncAttempt(size_t shard, size_t replica,
                          std::shared_ptr<const std::vector<uint8_t>> frame,
-                         bool is_hedge, std::shared_ptr<HedgedCall> state) const;
+                         size_t call, bool is_hedge,
+                         std::shared_ptr<Completions> channel) const;
 
-  /// One shard call over the replica walk; fills outcome->messages /
-  /// bytes with the frames actually exchanged.
-  void CallShard(size_t shard, const std::vector<ir::ShardQuery>& queries,
-                 ShardOutcome* outcome) const;
-
-  /// Runs fn(i) for every shard, over the executor when attached.
-  void ForEachShard(const std::function<void(size_t)>& fn) const;
-
-  /// Fans the (possibly batched) request out to every shard.
-  std::vector<ShardOutcome> FanOut(
-      const std::vector<ir::ShardQuery>& queries) const;
+  /// Exchanges `queries` with shards [first, last) at once: queues each
+  /// shard's first attempt on its lane, then runs every shard's hedge
+  /// budget and failover walk in one loop on the calling thread. Fills
+  /// outcomes[first, last) with the answers and the frames actually
+  /// exchanged; a shard whose walk is exhausted stays !alive.
+  void FanOut(const std::vector<ir::ShardQuery>& queries, size_t first,
+              size_t last, std::vector<ShardOutcome>* outcomes) const;
 
   /// Folds per-shard outcomes into the E4 stats struct; shared by
   /// Query and QueryBatch. `per_query`, when non-null, gets one entry
@@ -430,23 +446,18 @@ class RemoteClusterIndex {
   bool norm_stem_ = true;
   bool norm_stop_ = true;
   bool connected_ = false;
-  ThreadPool* executor_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool_;
-
-  /// Routing state, one per shard (pointer-stable: ShardState holds a
-  /// mutex).
-  std::vector<std::unique_ptr<ShardState>> shard_state_;
+  /// Set by EnableParallelism(): pruned queries fan out at once instead
+  /// of visiting the shards in turn.
+  bool parallel_ = false;
 
   mutable std::atomic<uint64_t> hedges_fired_{0};
   mutable std::atomic<uint64_t> hedge_wins_{0};
   mutable std::atomic<uint64_t> failovers_{0};
   mutable std::atomic<uint64_t> replica_errors_{0};
 
-  /// Async attempts still running (hedge losers included); the
-  /// destructor blocks until it drains so no attempt outlives `this`.
-  mutable std::mutex inflight_mu_;
-  mutable std::condition_variable inflight_cv_;
-  mutable size_t inflight_ = 0;
+  /// Routing state and lanes, one per shard (pointer-stable: ShardState
+  /// holds mutexes and running threads).
+  std::vector<std::unique_ptr<ShardState>> shard_state_;
 };
 
 }  // namespace dls::net

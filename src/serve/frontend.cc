@@ -251,43 +251,36 @@ SearchResult Frontend::Search(const SearchQuery& query) {
     queue_.push_back(std::move(pending));
     admitted_.fetch_add(1, std::memory_order_relaxed);
   }
-  cv_.notify_all();
+  cv_.notify_one();
   return future.get();
 }
 
 void Frontend::WorkerLoop() {
   while (true) {
     std::vector<std::unique_ptr<Pending>> batch;
+    bool leftovers = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-      if (queue_.empty()) continue;
+      if (queue_.empty()) return;  // stopping, and drained
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
 
-      // Coalescing window: collect compatible queued queries, waiting
-      // max_batch_wait_us after the first for stragglers. Shipping a
-      // short batch early beats holding the first request hostage.
-      const auto window_end =
-          SteadyClock::now() +
-          std::chrono::microseconds(options_.max_batch_wait_us);
-      while (batch.size() < options_.max_batch && !stopping_) {
-        for (auto it = queue_.begin();
-             it != queue_.end() && batch.size() < options_.max_batch;) {
-          if (Compatible(*batch.front(), **it)) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
+      // The batch is the first request plus every compatible one
+      // already queued; nothing waits for stragglers. Batches form
+      // under load, from what queues while every worker is busy.
+      for (auto it = queue_.begin();
+           it != queue_.end() && batch.size() < options_.max_batch;) {
+        if (Compatible(*batch.front(), **it)) {
+          batch.push_back(std::move(*it));
+          it = queue_.erase(it);
+        } else {
+          ++it;
         }
-        if (batch.size() >= options_.max_batch) break;
-        if (SteadyClock::now() >= window_end) break;
-        cv_.wait_until(lock, window_end);
       }
+      leftovers = !queue_.empty();
     }
-    cv_.notify_all();  // leftovers may suit another worker
+    if (leftovers) cv_.notify_one();  // they may suit an idle worker
     ExecuteBatch(std::move(batch));
   }
 }

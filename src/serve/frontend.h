@@ -40,13 +40,12 @@ struct FrontendOptions {
   /// queue and drives one backend QueryBatch call at a time.
   size_t num_workers = 2;
 
-  /// Dynamic batcher policy: a worker coalesces up to `max_batch`
-  /// compatible queued queries, waiting at most `max_batch_wait_us`
-  /// after the first for stragglers. Compatible = identical
-  /// (n, effective max_fragments, RankOptions) — the batch ships under
-  /// one policy.
+  /// Dynamic batcher policy: a worker takes the oldest queued query
+  /// plus up to `max_batch` - 1 compatible ones already queued, and
+  /// ships them at once — it never waits for stragglers. Compatible =
+  /// identical (n, effective max_fragments, RankOptions) — the batch
+  /// ships under one policy.
   size_t max_batch = 8;
-  int64_t max_batch_wait_us = 200;
 
   /// Whole-request budget for queries that don't bring their own
   /// (SearchQuery::deadline_ms == 0).
@@ -131,8 +130,10 @@ struct SearchResult {
 ///   the fragment cut-off halves, so answers get cheaper (lower
 ///   predicted_quality, honest `degraded` flag) while staying exact
 ///   for their cut-off — quality degrades before availability does.
-/// - **Batching** coalesces compatible queued queries into one backend
-///   QueryBatch (one frame per shard on the remote path). Duplicate
+/// - **Batching** coalesces compatible queries that are already queued
+///   when a worker comes free into one backend QueryBatch (one frame
+///   per shard on the remote path); no request waits for a batch to
+///   fill, so batches form only while every worker is busy. Duplicate
 ///   resolved queries inside a batch evaluate once.
 /// - **Caching** keys on the *resolved* query (normalised, de-duped
 ///   stems — two spellings share an entry) plus the ranking policy,

@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -639,7 +640,8 @@ TEST(LiveClusterTest, PartialReplicaWriteLeavesStatisticsOnTheFirstReplica) {
     }
   };
 
-  // Replica 1 refuses with an Error frame (every retry), then dies.
+  // Replica 1 refuses with an Error frame (a refusal is not resent),
+  // then dies.
   fx.transports[1]->ErrorFrameCalls(2);
   const std::string text = "partial write " + MakeBody(&rng, &zipf, 6);
   for (const std::string& stem : DeltaOf(text).first) stems.insert(stem);
@@ -654,6 +656,161 @@ TEST(LiveClusterTest, PartialReplicaWriteLeavesStatisticsOnTheFirstReplica) {
   EXPECT_FALSE(found.ok());
   EXPECT_EQ(fx.live(0, 0).Pin()->live_docs(), 12u);
   expect_replica0();
+}
+
+// An Insert or Delete whose answer is lost is not sent again: the node
+// may have applied it, and a resend would report AlreadyExists or
+// found=false for a write that happened. The call fails with
+// kUnavailable, and Connect() brings the statistics back to the node's.
+TEST(LiveClusterTest, LostMutationAnswerIsAnErrorNotAResend) {
+  LiveLoopbackCluster fx(/*num_shards=*/1, /*num_replicas=*/1);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  Rng rng(13);
+  ZipfSampler zipf(40, 1.1);
+  std::set<std::string> stems;
+  auto body = [&] {
+    const std::string text = MakeBody(&rng, &zipf, 10);
+    for (const std::string& stem : DeltaOf(text).first) stems.insert(stem);
+    return text;
+  };
+  for (size_t d = 0; d < 6; ++d) {
+    ASSERT_TRUE(fx.remote->Insert(StrFormat("u%04zu", d), body()).ok());
+  }
+  LoopbackTransport& transport = *fx.transports[0];
+
+  // The node applies the insert; its answer arrives cut in half.
+  transport.TruncateCalls(1);
+  int dispatched = transport.dispatched_calls();
+  Result<uint64_t> id = fx.remote->Insert("lost-insert", "lost " + body());
+  stems.insert(DeltaOf("lost").first[0]);
+  ASSERT_FALSE(id.ok());
+  EXPECT_EQ(id.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(id.status().message().find("Connect()"), std::string::npos);
+  EXPECT_EQ(transport.dispatched_calls(), dispatched + 1);  // sent once
+  EXPECT_EQ(fx.live(0, 0).Pin()->live_docs(), 7u);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  ExpectStatsMatchFreshHandshake(fx, stems);
+
+  // Likewise a delete.
+  transport.TruncateCalls(1);
+  dispatched = transport.dispatched_calls();
+  Result<bool> found = fx.remote->Delete("u0002");
+  ASSERT_FALSE(found.ok());
+  EXPECT_EQ(found.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(transport.dispatched_calls(), dispatched + 1);
+  EXPECT_EQ(fx.live(0, 0).Pin()->live_docs(), 6u);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  ExpectStatsMatchFreshHandshake(fx, stems);
+
+  // Resynchronised, the coordinator sees the write it was not told of.
+  Result<bool> again = fx.remote->Delete("lost-insert");
+  ASSERT_TRUE(again.ok()) << again.status().message();
+  EXPECT_TRUE(again.value());
+  ExpectStatsMatchFreshHandshake(fx, stems);
+}
+
+/// Records the merge frames the watched transports carry: how many
+/// were in flight at once, overall and per shard, and in which replica
+/// order each shard's arrived.
+class MergeLog {
+ public:
+  explicit MergeLog(size_t shards)
+      : order_(shards), in_flight_per_shard_(shards, 0) {}
+
+  void Begin(size_t shard, size_t replica) {
+    std::lock_guard<std::mutex> lock(mu_);
+    most_ = std::max(most_, ++in_flight_);
+    most_per_shard_ =
+        std::max(most_per_shard_, ++in_flight_per_shard_[shard]);
+    order_[shard].push_back(replica);
+  }
+  void End(size_t shard) {
+    std::lock_guard<std::mutex> lock(mu_);
+    --in_flight_;
+    --in_flight_per_shard_[shard];
+  }
+
+  size_t most() const { return most_; }
+  size_t most_per_shard() const { return most_per_shard_; }
+  const std::vector<size_t>& order(size_t shard) const {
+    return order_[shard];
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::vector<size_t>> order_;
+  std::vector<size_t> in_flight_per_shard_;
+  size_t in_flight_ = 0;
+  size_t most_ = 0;
+  size_t most_per_shard_ = 0;
+};
+
+/// Holds each merge frame 20 ms in flight (a merge's real cost on a
+/// large delta) and logs it; other frames pass straight through.
+class MergeWatchTransport : public Transport {
+ public:
+  MergeWatchTransport(Transport* inner, MergeLog* log, size_t shard,
+                      size_t replica)
+      : inner_(inner), log_(log), shard_(shard), replica_(replica) {}
+
+  Result<std::vector<uint8_t>> Call(const std::vector<uint8_t>& frame,
+                                    Deadline deadline) override {
+    if (frame.size() <= kFrameHeaderBytes ||
+        frame[kFrameHeaderBytes] !=
+            static_cast<uint8_t>(MessageType::kMergeRequest)) {
+      return inner_->Call(frame, deadline);
+    }
+    log_->Begin(shard_, replica_);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Result<std::vector<uint8_t>> answer = inner_->Call(frame, deadline);
+    log_->End(shard_);
+    return answer;
+  }
+
+ private:
+  Transport* inner_;
+  MergeLog* log_;
+  const size_t shard_;
+  const size_t replica_;
+};
+
+// MergeAll merges the shards at once, while each shard still walks its
+// replicas one after another in order, and every acknowledged epoch
+// reaches the statistics.
+TEST(LiveClusterTest, MergeAllMergesShardsConcurrently) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kReplicas = 2;
+  LiveLoopbackCluster fx(kShards, kReplicas);
+  MergeLog log(kShards);
+  std::vector<std::unique_ptr<MergeWatchTransport>> watched;
+  std::vector<RemoteClusterIndex::ReplicaSet> sets(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    for (size_t r = 0; r < kReplicas; ++r) {
+      watched.push_back(std::make_unique<MergeWatchTransport>(
+          fx.transports[s * kReplicas + r].get(), &log, s, r));
+      sets[s].replicas.push_back(
+          {watched.back().get(), fx.direct_sets_[s].replicas[r].node_id});
+    }
+  }
+  RemoteClusterIndex remote(std::move(sets), LiveLoopbackCluster::Options());
+  ASSERT_TRUE(remote.Connect().ok());
+  Rng rng(17);
+  ZipfSampler zipf(60, 1.1);
+  for (size_t d = 0; d < 40; ++d) {
+    ASSERT_TRUE(
+        remote.Insert(StrFormat("u%04zu", d), MakeBody(&rng, &zipf, 8)).ok());
+  }
+
+  ASSERT_TRUE(remote.MergeAll().ok());
+  EXPECT_GE(log.most(), 2u);
+  EXPECT_EQ(log.most_per_shard(), 1u);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(log.order(s), (std::vector<size_t>{0, 1})) << "shard " << s;
+  }
+  std::unique_ptr<RemoteClusterIndex> fresh = fx.FreshCoordinator();
+  ASSERT_TRUE(fresh->Connect().ok());
+  EXPECT_EQ(remote.cluster_epoch(), fresh->cluster_epoch());
+  EXPECT_EQ(remote.document_count(), fresh->document_count());
 }
 
 // A delete acknowledgement whose delta the global statistics cannot

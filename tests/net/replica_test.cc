@@ -10,9 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -384,6 +388,195 @@ TEST(ReplicaTest, HedgeLoserDoesNotCorruptReusedTcpConnection) {
     // above go out of scope.
   }
   server.Stop();
+}
+
+/// Threads of this process right now.
+size_t ThreadCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// Transport decorator that holds every call at a gate while it is
+/// closed, counting the calls that reached it.
+class GatedTransport final : public Transport {
+ public:
+  explicit GatedTransport(Transport* inner) : inner_(inner) {}
+
+  Result<std::vector<uint8_t>> Call(const std::vector<uint8_t>& request_frame,
+                                    Deadline deadline) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    return inner_->Call(request_frame, deadline);
+  }
+
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void AwaitEntered(int calls) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= calls; });
+  }
+  int entered() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
+
+ private:
+  Transport* inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int entered_ = 0;
+};
+
+// Every thread the index uses is started by its constructor: a
+// thousand hedged queries, each leaving a loser behind on a slow
+// replica, never change the process's thread count.
+TEST(ReplicaTest, HedgedQueriesStartNoThreads) {
+  RemoteClusterIndex::Options options;
+  options.timeout_ms = 5000;
+  options.hedge_budget_us = 200;
+  ReplicatedCluster fx(4, 2, 120, 1, options);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  fx.remote->EnableParallelism(4);
+  std::vector<std::vector<ir::ClusterScoredDoc>> reference;
+  for (const auto& query : kQueries) {
+    reference.push_back(fx.cluster.Query(query, 10, 4));
+  }
+  // Every replica answers 1 ms late, far past the budget: each
+  // exchange hedges, and the loser is still on the wire when the query
+  // returns.
+  for (auto& shard : fx.transports) {
+    for (auto& replica : shard) replica->SetLatency(1);
+  }
+
+  const size_t threads = ThreadCount();
+  size_t most = threads;
+  for (int round = 0; round < 1000; ++round) {
+    const size_t q = static_cast<size_t>(round) % kQueries.size();
+    ExpectSameRanking(fx.remote->Query(kQueries[q], 10, 4), reference[q]);
+    if (HasFailure()) return;
+    most = std::max(most, ThreadCount());
+  }
+  EXPECT_GE(fx.remote->replica_counters().hedges_fired, 1000u);
+  EXPECT_EQ(most, threads);
+  EXPECT_EQ(ThreadCount(), threads);
+}
+
+// Destroying the index while a hedge loser is still inside a slow
+// replica's transport waits for the loser: it reaches the handler
+// before the destructor returns.
+TEST(ReplicaTest, DestructionWaitsForAnInFlightHedgeLoser) {
+  RemoteClusterIndex::Options options;
+  options.timeout_ms = 5000;
+  options.hedge_budget_us = 1000;
+  ReplicatedCluster fx(1, 2, 60, 4, options);
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  LoopbackTransport* slow = fx.transports[0][0].get();
+  const int dispatched = slow->dispatched_calls();
+  slow->SetLatency(200);
+
+  const auto start = std::chrono::steady_clock::now();
+  ir::ClusterQueryStats stats;
+  ExpectSameRanking(fx.remote->Query(kQueries[0], 10, 4, &stats),
+                    fx.cluster.Query(kQueries[0], 10, 4));
+  EXPECT_EQ(stats.hedge_wins, 1u);
+  EXPECT_EQ(slow->dispatched_calls(), dispatched);  // loser still asleep
+
+  fx.remote.reset();
+  EXPECT_EQ(slow->dispatched_calls(), dispatched + 1);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(200));
+}
+
+// An attempt's deadline runs from the moment it is queued. One that
+// waits out its whole budget behind an earlier call on the same
+// replica fails without ever reaching the transport.
+TEST(ReplicaTest, QueuedAttemptPastItsDeadlineNeverReachesTheTransport) {
+  ir::ClusterIndex cluster(1, 4);
+  BuildCorpus(&cluster, 60, 5);
+  ShardServer server;
+  server.AddNode(&cluster.node_index(0), &cluster.node_fragments(0));
+  LoopbackTransport loopback(server.Handler());
+  GatedTransport gate(&loopback);
+  RemoteClusterIndex::Options options;
+  options.timeout_ms = 50;
+  options.retries = 0;
+  RemoteClusterIndex remote(
+      std::vector<RemoteClusterIndex::Shard>{{&gate, 0}}, options);
+  ASSERT_TRUE(remote.Connect().ok());
+  const int entered = gate.entered();
+
+  gate.Close();
+  ir::ClusterQueryStats first_stats, second_stats;
+  auto first = std::async(std::launch::async, [&] {
+    return remote.Query(kQueries[0], 10, 4, &first_stats);
+  });
+  gate.AwaitEntered(entered + 1);  // the first call holds the lane
+  auto second = std::async(std::launch::async, [&] {
+    return remote.Query(kQueries[1], 10, 4, &second_stats);
+  });
+  // Well past the second attempt's 50 ms budget.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  gate.Open();
+  first.get();
+  EXPECT_TRUE(second.get().empty());
+
+  EXPECT_EQ(gate.entered(), entered + 1);  // the second never got there
+  EXPECT_EQ(Bits(second_stats.predicted_quality), Bits(0.0));
+  EXPECT_EQ(second_stats.messages, 0u);  // no frame was sent
+}
+
+// A hedged call answered by the fast replica leaves its primary
+// attempt queued behind a stuck call on the slow replica; when the
+// lane reaches it, it is dropped without touching the transport.
+TEST(ReplicaTest, QueuedAttemptOfAnAnsweredCallIsDropped) {
+  RemoteClusterIndex::Options options;
+  options.timeout_ms = 5000;
+  options.hedge_budget_us = 1000;
+  ReplicatedCluster fx(1, 2, 60, 6, options);
+  GatedTransport gate(fx.transports[0][0].get());
+  {
+    std::vector<RemoteClusterIndex::ReplicaSet> sets(1);
+    sets[0].replicas = {{&gate, 0}, {fx.transports[0][1].get(), 0}};
+    fx.remote = std::make_unique<RemoteClusterIndex>(std::move(sets), options);
+  }
+  ASSERT_TRUE(fx.remote->Connect().ok());
+  const int entered = gate.entered();
+  const int dispatched = fx.transports[0][0]->dispatched_calls();
+
+  gate.Close();
+  for (int round = 0; round < 2; ++round) {
+    // Replica 0 is unsampled, so it stays first in the walk: round 0's
+    // primary sticks in the gate, round 1's queues behind it, and the
+    // hedge to replica 1 answers both.
+    ir::ClusterQueryStats stats;
+    ExpectSameRanking(fx.remote->Query(kQueries[round], 10, 4, &stats),
+                      fx.cluster.Query(kQueries[round], 10, 4));
+    EXPECT_EQ(stats.hedge_wins, 1u) << "round " << round;
+  }
+  gate.AwaitEntered(entered + 1);
+  gate.Open();
+  fx.remote.reset();  // drains the lanes
+
+  EXPECT_EQ(gate.entered(), entered + 1);
+  EXPECT_EQ(fx.transports[0][0]->dispatched_calls(), dispatched + 1);
 }
 
 // ---------------------------------------------------------------------

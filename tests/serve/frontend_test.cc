@@ -288,7 +288,6 @@ TEST(FrontendTest, DegradesFragmentCutoffAtQueueWatermark) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.degrade_watermark = 1;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
@@ -336,7 +335,6 @@ TEST(FrontendTest, ShedsWithUnavailableWhenQueueIsFull) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.max_queue = 2;
   options.degrade_watermark = 0;
   options.default_deadline_ms = 60000;
@@ -389,7 +387,6 @@ TEST(FrontendTest, ExpiresInQueueWithoutTouchingBackend) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
 
@@ -434,7 +431,6 @@ TEST(FrontendTest, ShedsAtAdmissionWhenPredictedWaitExceedsDeadline) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
-  options.max_batch_wait_us = 0;
   Frontend frontend(&slow, options);
 
   SearchQuery warm;
@@ -464,7 +460,6 @@ TEST(FrontendTest, CoalescesQueuedRequestsAndDeduplicatesWithinBatch) {
   FrontendOptions options;
   options.num_workers = 1;
   options.max_batch = 8;
-  options.max_batch_wait_us = 200;
   options.degrade_watermark = 0;
   options.default_deadline_ms = 60000;
   Frontend frontend(&gate, options);
